@@ -74,6 +74,7 @@ func BenchmarkTopologyBuild(b *testing.B) {
 
 func BenchmarkRoutePropagation(b *testing.B) {
 	res, _ := benchSetup(b)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		bgp.Propagate(res.Topology, 7473)
@@ -532,7 +533,7 @@ func graphBenchSetup(b *testing.B, scale float64) *graphBenchState {
 
 // BenchmarkGraphBuild measures compiling the whole relationship index —
 // classed adjacency, cone closure and the per-origin dependency
-// propagation, which dominates. This is the price a snapshot generation
+// propagation (graph.Build collects its own paths), which dominates. This is the price a snapshot generation
 // pays at build/stage time so that /v1/graph/* never computes on the
 // request path. Scale 2.0 iterations run minutes; select this bench
 // explicitly with -benchtime=1x rather than via -bench=. on a slow
@@ -541,6 +542,7 @@ func BenchmarkGraphBuild(b *testing.B) {
 	for _, scale := range benchRunScales {
 		b.Run(fmt.Sprintf("scale%.1f", scale), func(b *testing.B) {
 			s := graphBenchSetup(b, scale)
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				graph.Build(s.topo, s.monitors, s.orgs, 0)

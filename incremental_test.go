@@ -19,7 +19,7 @@ const incScale = 0.08
 
 // allNodes is every build-graph node, in declaration order.
 var allNodes = []string{
-	"world", "topology", "geo", "eyeballs", "whois", "peeringdb",
+	"world", "topology", "routing", "geo", "eyeballs", "whois", "peeringdb",
 	"as2org", "orbis", "docs", "cti", "hijack", "stage1", "stage2", "stage3",
 }
 

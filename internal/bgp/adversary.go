@@ -11,9 +11,7 @@
 package bgp
 
 import (
-	"runtime"
 	"sort"
-	"sync"
 
 	"stateowned/internal/topology"
 	"stateowned/internal/world"
@@ -97,38 +95,18 @@ func (c Campaign) tailLen() int32 {
 	return 0
 }
 
-// propagateHijack spreads one campaign's announcement through the graph
-// with the same three valley-free phases as Propagate, gated per AS:
-// ROV deployers drop the invalid route outright, and for same-prefix
-// campaigns an AS adopts only where the candidate beats its honest
-// route under the standard comparator. Non-adopters never re-export, so
-// removing propagation paths (more ROV) can only lengthen or remove
-// downstream candidates — adoption is monotone non-increasing in the
-// deployment set. Returns the per-AS hijack routes (classNone where the
-// announcement was not adopted), or nil for inert campaigns.
-func propagateHijack(g *topology.Graph, honest *PathView, c Campaign, rov map[world.ASN]bool) []route {
-	if honest == nil || inert(g, c, rov) {
-		return nil
-	}
-	hIdx, ok := g.Index(c.Hijacker)
-	if !ok {
-		return nil
-	}
+// hijackGate is the adoption gate that runs the propagation kernel as
+// one campaign's announcement, given the victim's honest routes: ROV
+// deployers drop the invalid route outright, the victim filters its own
+// space, and for same-prefix campaigns an AS adopts only where the
+// candidate beats its honest route under the standard comparator.
+// Non-adopters never re-export, so removing propagation paths (more
+// ROV) can only lengthen or remove downstream candidates — adoption is
+// monotone non-increasing in the deployment set.
+func hijackGate(g *topology.Graph, honest []route, c Campaign, rov map[world.ASN]bool) func(int, route) bool {
+	hIdx, _ := g.Index(c.Hijacker)
 	vIdx, _ := g.Index(c.Victim)
-	n := g.NumASes()
-	routes := make([]route, n)
-	routes[hIdx] = route{class: classCustomer, dist: c.tailLen(), next: -1}
-
-	better := func(a, b route) bool {
-		if a.class != b.class {
-			return a.class > b.class
-		}
-		if a.dist != b.dist {
-			return a.dist < b.dist
-		}
-		return a.next < b.next && b.next >= 0
-	}
-	adopt := func(p int, cand route) bool {
+	return func(p int, cand route) bool {
 		if p == vIdx || p == hIdx {
 			return false // the victim filters its own space; the hijacker originated
 		}
@@ -138,84 +116,37 @@ func propagateHijack(g *topology.Graph, honest *PathView, c Campaign, rov map[wo
 		if c.Kind == SubPrefix {
 			return true // longest-prefix match: no competition with the honest route
 		}
-		hr := honest.routes[p]
+		hr := honest[p]
 		return hr.class == classNone || better(cand, hr)
 	}
+}
 
-	// Phase 1: the invalid route climbs provider edges from adopters.
-	queue := []int{hIdx}
-	for len(queue) > 0 {
-		var next []int
-		for _, cur := range queue {
-			for _, p := range g.ProviderIdx(cur) {
-				cand := route{class: classCustomer, dist: routes[cur].dist + 1, next: int32(cur)}
-				if (routes[p].class == classNone || better(cand, routes[p])) && adopt(p, cand) {
-					if routes[p].class == classNone {
-						next = append(next, p)
-					}
-					routes[p] = cand
-				}
-			}
-		}
-		queue = next
+// propagateHijack runs the honest propagation toward the victim on
+// honest and, unless the campaign is inert, the campaign's announcement
+// on hijack with the same three valley-free phases, gated per AS by
+// hijackGate. It returns the per-AS hijack routes (classNone where the
+// announcement was not adopted), or nil when nothing was injected. The
+// victim must be in the graph.
+func propagateHijack(g *topology.Graph, honest, hijack *kernel, c Campaign, rov map[world.ASN]bool) []route {
+	vIdx, _ := g.Index(c.Victim)
+	honest.run(vIdx, 0, nil)
+	if inert(g, c, rov) {
+		return nil
 	}
-
-	// Phase 2: one peer hop from customer-class adopters.
-	peerRoutes := make([]route, n)
-	for i := 0; i < n; i++ {
-		if routes[i].class != classCustomer {
-			continue
-		}
-		for _, p := range g.PeerIdx(i) {
-			if routes[p].class == classCustomer {
-				continue
-			}
-			cand := route{class: classPeer, dist: routes[i].dist + 1, next: int32(i)}
-			if (peerRoutes[p].class == classNone || better(cand, peerRoutes[p])) && adopt(p, cand) {
-				peerRoutes[p] = cand
-			}
-		}
-	}
-	for i := 0; i < n; i++ {
-		if peerRoutes[i].class == classPeer && routes[i].class == classNone {
-			routes[i] = peerRoutes[i]
-		}
-	}
-
-	// Phase 3: the invalid route descends customer edges from adopters.
-	queue = queue[:0]
-	for i := 0; i < n; i++ {
-		if routes[i].class != classNone {
-			queue = append(queue, i)
-		}
-	}
-	for len(queue) > 0 {
-		var next []int
-		for _, cur := range queue {
-			for _, cidx := range g.CustomerIdx(cur) {
-				cand := route{class: classProvider, dist: routes[cur].dist + 1, next: int32(cur)}
-				if routes[cidx].class == classNone {
-					if adopt(cidx, cand) {
-						routes[cidx] = cand
-						next = append(next, cidx)
-					}
-				} else if routes[cidx].class == classProvider && better(cand, routes[cidx]) && adopt(cidx, cand) {
-					routes[cidx] = cand
-				}
-			}
-		}
-		queue = next
-	}
-	return routes
+	hIdx, _ := g.Index(c.Hijacker)
+	hijack.run(hIdx, c.tailLen(), hijackGate(g, honest.routes, c, rov))
+	return hijack.routes
 }
 
 // Spread returns the ASes that adopt campaign c's announcement under the
 // given ROV set, sorted ascending — the campaign's infection footprint.
 // The metamorphic battery asserts this set shrinks as ROV deployment
-// grows; CollectPathsAdversary uses the identical propagation.
+// grows; the adversary overlay uses the identical propagation.
 func Spread(g *topology.Graph, c Campaign, rov map[world.ASN]bool) []world.ASN {
-	honest := Propagate(g, c.Victim)
-	routes := propagateHijack(g, honest, c, rov)
+	if !g.Active(c.Victim) {
+		return nil
+	}
+	routes := propagateHijack(g, newKernel(g), newKernel(g), c, rov)
 	if routes == nil {
 		return nil
 	}
@@ -230,110 +161,108 @@ func Spread(g *topology.Graph, c Campaign, rov map[world.ASN]bool) []world.ASN {
 	return out
 }
 
-// observedPath reconstructs what a monitor inside `from` reports for the
-// campaign's prefix: the walk to the hijacker plus the announcement's
-// claimed tail where the invalid route was adopted, the honest path
-// everywhere else.
-func observedPath(g *topology.Graph, honest *PathView, hij []route, c Campaign, from world.ASN) []world.ASN {
-	i, ok := g.Index(from)
-	if !ok {
-		return nil
+// Overlay returns the path set as the adversary's monitors observe it:
+// each campaign victim's row is replaced by the walk to the hijacker
+// plus the announcement's claimed tail where the invalid route was
+// adopted, and the honest path everywhere else. Only victims re-run the
+// kernel; every other origin keeps the receiver's row, and an inert
+// adversary returns the receiver itself. At most one campaign applies
+// per victim origin (the first listed wins), mirroring
+// one-prefix-one-attack plan generation. The receiver must be a
+// simulator collection (CollectPaths) without an overlay of its own.
+func (mp *MonitorPaths) Overlay(adv *Adversary, workers int) *MonitorPaths {
+	if !adv.Active() {
+		return mp
 	}
-	if hij == nil || hij[i].class == classNone {
-		return honest.Path(from)
+	g := mp.topo
+	if g == nil || mp.patch != nil {
+		panic("bgp: Overlay needs an honest simulator path collection")
 	}
-	var path []world.ASN
-	for {
-		path = append(path, g.ASNAt(i))
-		nxt := hij[i].next
-		if nxt < 0 {
-			break
+	var victims []world.ASN
+	var camps []Campaign
+	seen := make(map[world.ASN]bool, len(adv.Campaigns))
+	for _, c := range adv.Campaigns {
+		if seen[c.Victim] {
+			continue
 		}
-		i = int(nxt)
-		if len(path) > g.NumASes() {
-			return nil // defensive: cycle would be a propagation bug
+		seen[c.Victim] = true
+		if _, ok := mp.rows[c.Victim]; ok && g.Active(c.Victim) {
+			victims = append(victims, c.Victim)
+			camps = append(camps, c)
 		}
 	}
-	if c.Kind == ForgedPath {
-		path = append(path, c.Forged...)
-		path = append(path, c.Victim)
+	if len(victims) == 0 {
+		return mp
 	}
-	return path
+
+	// A forged tail may name ASes outside the graph: they get hop ids
+	// past the topology's, in a node table extended for this overlay.
+	nodes := mp.nodes[:len(mp.nodes):len(mp.nodes)]
+	ext := map[world.ASN]int32{}
+	id := func(a world.ASN) int32 {
+		if i, ok := g.Index(a); ok {
+			return int32(i)
+		}
+		if h, ok := ext[a]; ok {
+			return h
+		}
+		ext[a] = int32(len(nodes))
+		nodes = append(nodes, a)
+		return ext[a]
+	}
+	tails := make([][]int32, len(camps))
+	for ci, c := range camps {
+		if c.Kind != ForgedPath {
+			continue
+		}
+		for _, f := range c.Forged {
+			tails[ci] = append(tails[ci], id(f))
+		}
+		tails[ci] = append(tails[ci], id(c.Victim))
+	}
+
+	monIdx := monitorIndex(g, mp.Monitors)
+	patch := collect(g, mp.Monitors, victims, workers, func(w *worker, oi int, lens []int32) {
+		honest, hijack := w.kernels(g, true)
+		hij := propagateHijack(g, honest, hijack, camps[oi], adv.ROV)
+		for mi, i := range monIdx {
+			if i < 0 {
+				continue
+			}
+			before := len(w.buf)
+			if hij != nil && hij[i].class != classNone {
+				var ok bool
+				if w.buf, ok = walk(hij, i, w.buf); ok {
+					w.buf = append(w.buf, tails[oi]...)
+				}
+			} else {
+				w.buf, _ = walk(honest.routes, i, w.buf)
+			}
+			lens[mi] = int32(len(w.buf) - before)
+		}
+	})
+	patch.nodes = nodes
+	out := *mp
+	out.nodes = nodes
+	out.patch = patch
+	return &out
+}
+
+// Honest returns the path set without its adversary overlay: the
+// receiver itself when it has none.
+func (mp *MonitorPaths) Honest() *MonitorPaths {
+	if mp.patch == nil {
+		return mp
+	}
+	out := *mp
+	out.patch = nil
+	return &out
 }
 
 // CollectPathsAdversary is CollectPaths with an adversary in the control
-// plane. Origins without a campaign — and every origin when the
-// adversary is inert — take the honest propagation byte-for-byte; a
-// campaigned origin has its monitors' observed paths overlaid with the
-// hijack spread. At most one campaign applies per victim origin (the
-// first listed wins), mirroring one-prefix-one-attack plan generation.
+// plane: the honest collection with the campaign victims overlaid (see
+// Overlay). Origins without a campaign — and every origin when the
+// adversary is inert — take the honest propagation byte-for-byte.
 func CollectPathsAdversary(g *topology.Graph, monitors []Monitor, origins []world.ASN, workers int, adv *Adversary) *MonitorPaths {
-	if !adv.Active() {
-		return CollectPaths(g, monitors, origins, workers)
-	}
-	byVictim := make(map[world.ASN]Campaign, len(adv.Campaigns))
-	for _, c := range adv.Campaigns {
-		if _, dup := byVictim[c.Victim]; !dup {
-			byVictim[c.Victim] = c
-		}
-	}
-
-	mp := &MonitorPaths{Monitors: monitors, paths: make([]map[world.ASN][]world.ASN, len(monitors))}
-	for i := range mp.paths {
-		mp.paths[i] = make(map[world.ASN][]world.ASN)
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(origins) {
-		workers = len(origins)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	shards := make([][]map[world.ASN][]world.ASN, workers)
-	var wg sync.WaitGroup
-	for wi := 0; wi < workers; wi++ {
-		shards[wi] = make([]map[world.ASN][]world.ASN, len(monitors))
-		for i := range shards[wi] {
-			shards[wi][i] = make(map[world.ASN][]world.ASN)
-		}
-		wg.Add(1)
-		go func(wi int) {
-			defer wg.Done()
-			s := shards[wi]
-			for oi := wi; oi < len(origins); oi += workers {
-				origin := origins[oi]
-				view := Propagate(g, origin)
-				if view == nil {
-					continue
-				}
-				var hij []route
-				c, attacked := byVictim[origin]
-				if attacked {
-					hij = propagateHijack(g, view, c, adv.ROV)
-				}
-				for mi, m := range monitors {
-					var p []world.ASN
-					if hij != nil {
-						p = observedPath(g, view, hij, c, m.AS)
-					} else {
-						p = view.Path(m.AS)
-					}
-					if p != nil {
-						s[mi][origin] = p
-					}
-				}
-			}
-		}(wi)
-	}
-	wg.Wait()
-	for _, s := range shards {
-		for mi := range s {
-			for origin, p := range s[mi] {
-				mp.paths[mi][origin] = p
-			}
-		}
-	}
-	return mp
+	return CollectPaths(g, monitors, origins, workers).Overlay(adv, workers)
 }

@@ -12,9 +12,7 @@
 package bgp
 
 import (
-	"runtime"
 	"sort"
-	"sync"
 
 	"stateowned/internal/netaddr"
 	"stateowned/internal/rng"
@@ -124,22 +122,6 @@ func monitorID(i int) string {
 	return "rrc" + string(rune('0'+i/10)) + string(rune('0'+i%10))
 }
 
-// routeClass encodes Gao-Rexford preference; higher is better.
-type routeClass int8
-
-const (
-	classNone     routeClass = 0
-	classProvider routeClass = 1
-	classPeer     routeClass = 2
-	classCustomer routeClass = 3
-)
-
-type route struct {
-	class routeClass
-	dist  int32 // AS hops to origin
-	next  int32 // dense index of next hop (-1 at origin)
-}
-
 // PathView holds, for one origin AS, the best route state of every AS in
 // the graph; monitor paths are reconstructed from it.
 type PathView struct {
@@ -149,94 +131,16 @@ type PathView struct {
 }
 
 // Propagate computes valley-free best routes toward one origin for every
-// AS in the graph.
+// AS in the graph. It is a one-shot wrapper over the propagation kernel
+// the path collectors run per worker.
 func Propagate(g *topology.Graph, origin world.ASN) *PathView {
 	oIdx, ok := g.Index(origin)
 	if !ok {
 		return nil
 	}
-	n := g.NumASes()
-	routes := make([]route, n)
-	routes[oIdx] = route{class: classCustomer, dist: 0, next: -1}
-
-	better := func(a, b route) bool { // is a better than b
-		if a.class != b.class {
-			return a.class > b.class
-		}
-		if a.dist != b.dist {
-			return a.dist < b.dist
-		}
-		return a.next < b.next && b.next >= 0
-	}
-
-	// Phase 1: customer routes climb provider edges (BFS by distance).
-	queue := []int{oIdx}
-	for len(queue) > 0 {
-		var next []int
-		for _, cur := range queue {
-			for _, p := range g.ProviderIdx(cur) {
-				cand := route{class: classCustomer, dist: routes[cur].dist + 1, next: int32(cur)}
-				if routes[p].class == classNone || better(cand, routes[p]) {
-					if routes[p].class == classNone {
-						next = append(next, p)
-					}
-					routes[p] = cand
-				}
-			}
-		}
-		queue = next
-	}
-
-	// Phase 2: one peer hop from any AS holding a customer route.
-	peerRoutes := make([]route, n)
-	for i := 0; i < n; i++ {
-		if routes[i].class != classCustomer {
-			continue
-		}
-		for _, p := range g.PeerIdx(i) {
-			if routes[p].class == classCustomer {
-				continue
-			}
-			cand := route{class: classPeer, dist: routes[i].dist + 1, next: int32(i)}
-			if peerRoutes[p].class == classNone || better(cand, peerRoutes[p]) {
-				peerRoutes[p] = cand
-			}
-		}
-	}
-	for i := 0; i < n; i++ {
-		if peerRoutes[i].class == classPeer && routes[i].class == classNone {
-			routes[i] = peerRoutes[i]
-		}
-	}
-
-	// Phase 3: provider routes descend customer edges, BFS by distance
-	// from every routed AS.
-	queue = queue[:0]
-	for i := 0; i < n; i++ {
-		if routes[i].class != classNone {
-			queue = append(queue, i)
-		}
-	}
-	for len(queue) > 0 {
-		var next []int
-		for _, cur := range queue {
-			for _, c := range g.CustomerIdx(cur) {
-				cand := route{class: classProvider, dist: routes[cur].dist + 1, next: int32(cur)}
-				if routes[c].class == classNone {
-					routes[c] = cand
-					next = append(next, c)
-				} else if routes[c].class == classProvider && better(cand, routes[c]) {
-					routes[c] = cand
-					// Distance improvements do not re-propagate in this
-					// BFS-by-layers scheme; layering guarantees minimal
-					// distances within the provider class.
-				}
-			}
-		}
-		queue = next
-	}
-
-	return &PathView{g: g, origin: origin, routes: routes}
+	k := newKernel(g)
+	k.run(oIdx, 0, nil)
+	return &PathView{g: g, origin: origin, routes: k.routes}
 }
 
 // Reachable reports whether the AS has any route to the origin.
@@ -249,117 +153,16 @@ func (v *PathView) Reachable(from world.ASN) bool {
 // both ends), or nil if unreachable.
 func (v *PathView) Path(from world.ASN) []world.ASN {
 	i, ok := v.g.Index(from)
-	if !ok || v.routes[i].class == classNone {
+	if !ok {
 		return nil
 	}
-	var path []world.ASN
-	for {
-		path = append(path, v.g.ASNAt(i))
-		nxt := v.routes[i].next
-		if nxt < 0 {
-			break
-		}
-		i = int(nxt)
-		if len(path) > v.g.NumASes() {
-			return nil // defensive: cycle would be a propagation bug
-		}
+	hops, ok := walk(v.routes, i, nil)
+	if !ok {
+		return nil
+	}
+	path := make([]world.ASN, len(hops))
+	for k, h := range hops {
+		path[k] = v.g.ASNAt(int(h))
 	}
 	return path
-}
-
-// MonitorPaths is the collected RIB view: for each monitor, the preferred
-// path to each origin it can reach.
-type MonitorPaths struct {
-	Monitors []Monitor
-	// paths[m][origin] = AS path (monitor AS first, origin last)
-	paths []map[world.ASN][]world.ASN
-}
-
-// CollectPaths propagates each origin and records the monitors' preferred
-// paths. Origins outside the graph are skipped.
-//
-// Per-origin propagations are independent, so they run on a bounded
-// worker pool of the given size (<= 0 selects GOMAXPROCS, 1 is fully
-// serial — the pipeline's Workers knob plumbs through here so a serial
-// run really is serial); results are merged deterministically (each
-// worker owns a disjoint slice of origins, and the merged maps are
-// keyed by origin).
-func CollectPaths(g *topology.Graph, monitors []Monitor, origins []world.ASN, workers int) *MonitorPaths {
-	mp := &MonitorPaths{Monitors: monitors, paths: make([]map[world.ASN][]world.ASN, len(monitors))}
-	for i := range mp.paths {
-		mp.paths[i] = make(map[world.ASN][]world.ASN)
-	}
-
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(origins) {
-		workers = len(origins)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-
-	type shard struct {
-		paths []map[world.ASN][]world.ASN
-	}
-	shards := make([]shard, workers)
-	var wg sync.WaitGroup
-	for wi := 0; wi < workers; wi++ {
-		shards[wi].paths = make([]map[world.ASN][]world.ASN, len(monitors))
-		for i := range shards[wi].paths {
-			shards[wi].paths[i] = make(map[world.ASN][]world.ASN)
-		}
-		wg.Add(1)
-		go func(wi int) {
-			defer wg.Done()
-			s := &shards[wi]
-			for oi := wi; oi < len(origins); oi += workers {
-				origin := origins[oi]
-				view := Propagate(g, origin)
-				if view == nil {
-					continue
-				}
-				for mi, m := range monitors {
-					if p := view.Path(m.AS); p != nil {
-						s.paths[mi][origin] = p
-					}
-				}
-			}
-		}(wi)
-	}
-	wg.Wait()
-	for _, s := range shards {
-		for mi := range s.paths {
-			for origin, p := range s.paths[mi] {
-				mp.paths[mi][origin] = p
-			}
-		}
-	}
-	return mp
-}
-
-// Path returns monitor mi's preferred path to origin (nil if none).
-func (mp *MonitorPaths) Path(mi int, origin world.ASN) []world.ASN {
-	return mp.paths[mi][origin]
-}
-
-// ReplayPaths builds a MonitorPaths from externally supplied paths — one
-// map per monitor, keyed by origin, each path running monitor-AS first
-// and origin last. It serves replay tooling and golden tests that need a
-// RIB view not produced by the simulator.
-func ReplayPaths(monitors []Monitor, paths []map[world.ASN][]world.ASN) *MonitorPaths {
-	if len(monitors) != len(paths) {
-		panic("bgp: monitors and path maps must align")
-	}
-	return &MonitorPaths{Monitors: monitors, paths: paths}
-}
-
-// MonitorsInAS counts monitors hosted per AS (CTI's w(m) denominator).
-func (mp *MonitorPaths) MonitorsInAS() map[world.ASN]int {
-	out := make(map[world.ASN]int)
-	for _, m := range mp.Monitors {
-		out[m.AS]++
-	}
-	return out
 }

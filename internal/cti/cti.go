@@ -52,13 +52,6 @@ func NewComputer(paths *bgp.MonitorPaths) *Computer {
 	return &Computer{paths: paths, weights: ws}
 }
 
-// prefixRef identifies one prefix by its origin and index within the
-// origin's prefix list.
-type prefixRef struct {
-	origin world.ASN
-	idx    int
-}
-
 // Country computes CTI(·, C) for every AS observed as transit toward C's
 // prefixes, returning scores sorted descending (ties by ascending ASN).
 //
@@ -74,17 +67,25 @@ func (c *Computer) Country(
 	if totalAddr == 0 {
 		return nil
 	}
-	acc := make(map[world.ASN]float64)
+	rows := make([]bgp.OriginPaths, len(origins))
+	for oi, origin := range origins {
+		rows[oi] = c.paths.Origin(origin)
+	}
+	// Scores accumulate per hop id; touched keeps every AS that scored,
+	// in first-seen order, for the final ranking.
+	acc := make([]float64, c.paths.NumNodes())
+	seen := make([]bool, len(acc))
+	var touched []int32
 	for mi := range c.paths.Monitors {
 		w := c.weights[mi]
 		monitorAS := c.paths.Monitors[mi].AS
-		for _, origin := range origins {
-			path := c.paths.Path(mi, origin)
+		for oi, origin := range origins {
+			path := rows[oi].Hops(mi)
 			if len(path) < 2 {
 				continue // monitor is the origin or origin unreachable
 			}
-			for _, ref := range prefixRefs(origin, prefixesOf(origin)) {
-				a := geo.AddressesIn(ref.origin, ref.idx, country)
+			for idx, n := 0, prefixesOf(origin); idx < n; idx++ {
+				a := geo.AddressesIn(origin, idx, country)
 				if a == 0 {
 					continue
 				}
@@ -93,19 +94,23 @@ func (c *Computer) Country(
 				// Transit hops are path[1:len-1]; additionally the
 				// monitor's own AS never scores (m not contained in AS).
 				for hop := 1; hop < len(path)-1; hop++ {
-					as := path[hop]
-					if as == monitorAS {
+					h := path[hop]
+					if c.paths.Node(h) == monitorAS {
 						continue
 					}
 					d := len(path) - 1 - hop // AS hops to the origin
-					acc[as] += w * frac / float64(d)
+					if !seen[h] {
+						seen[h] = true
+						touched = append(touched, h)
+					}
+					acc[h] += w * frac / float64(d)
 				}
 			}
 		}
 	}
-	out := make([]Score, 0, len(acc))
-	for as, v := range acc {
-		out = append(out, Score{AS: as, Value: v})
+	out := make([]Score, 0, len(touched))
+	for _, h := range touched {
+		out = append(out, Score{AS: c.paths.Node(h), Value: acc[h]})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Value != out[j].Value {
@@ -113,14 +118,6 @@ func (c *Computer) Country(
 		}
 		return out[i].AS < out[j].AS
 	})
-	return out
-}
-
-func prefixRefs(origin world.ASN, n int) []prefixRef {
-	out := make([]prefixRef, n)
-	for i := range out {
-		out[i] = prefixRef{origin, i}
-	}
 	return out
 }
 

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
+	"time"
 
 	"stateowned/internal/churn"
 	"stateowned/internal/serve"
@@ -133,9 +134,9 @@ func (sh *ShardServer) Store() *snapshot.Store { return sh.store }
 // Status snapshots the shard's control-plane self-description.
 func (sh *ShardServer) Status() ShardStatus {
 	return ShardStatus{
-		Shard:     sh.src.shard,
-		Shards:    sh.src.part.Shards,
-		Partition: sh.src.part,
+		Shard:       sh.src.shard,
+		Shards:      sh.src.part.Shards,
+		Partition:   sh.src.part,
 		LiveGen:     sh.store.Current().Gen,
 		StagedGen:   sh.store.StagedGen(),
 		Retained:    sh.store.Retained(),
@@ -165,6 +166,7 @@ func (sh *ShardServer) handleStage(w http.ResponseWriter, r *http.Request) {
 		serve.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
+	defer sh.holdWriteDeadline(w)()
 	if err := sh.store.Stage(gen); err != nil {
 		serve.WriteError(w, http.StatusConflict, err.Error())
 		return
@@ -179,6 +181,24 @@ func (sh *ShardServer) handleStage(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// holdWriteDeadline lifts the connection's write deadline while a
+// control-plane handler builds or commits a generation: a stage build
+// can outlast the server's WriteTimeout, and the coordinator would then
+// read EOF instead of the ack. The returned func, deferred, re-arms a
+// fresh WriteTimeout window. Writers without deadline support (an
+// in-process recorder) ignore both calls.
+func (sh *ShardServer) holdWriteDeadline(w http.ResponseWriter) (rearm func()) {
+	rc := http.NewResponseController(w)
+	_ = rc.SetWriteDeadline(time.Time{})
+	return func() {
+		timeout := sh.life.WriteTimeout
+		if timeout <= 0 {
+			timeout = serve.DefaultWriteTimeout
+		}
+		_ = rc.SetWriteDeadline(time.Now().Add(timeout))
+	}
+}
+
 // handleCommit is phase two: publish the staged generation with one
 // atomic swap. Idempotent — re-committing an already-live generation
 // acks — so a coordinator retrying after a lost ack converges.
@@ -188,6 +208,7 @@ func (sh *ShardServer) handleCommit(w http.ResponseWriter, r *http.Request) {
 		serve.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
+	defer sh.holdWriteDeadline(w)()
 	if _, err := sh.store.Commit(gen); err != nil {
 		serve.WriteError(w, http.StatusConflict, err.Error())
 		return

@@ -381,13 +381,23 @@ func runNode(name string, fn func() error) NodeResult {
 // this keeps an enclosing panic guard, such as a Graph node wrapper,
 // able to contain it; a bare goroutine panic would kill the process.
 func ParallelFor(workers, n int, fn func(i int)) {
+	ParallelForWorker(workers, n, func(_, i int) { fn(i) })
+}
+
+// ParallelForWorker is ParallelFor that also passes fn the pool slot w
+// running iteration i, in [0, Workers(workers)). No two iterations run
+// on one slot at the same time, so fn may keep per-slot scratch state
+// (a slice of Workers(workers) buffers) without locking. Which slot
+// runs which iteration is schedule-dependent, so the result stays
+// deterministic only if everything fn produces is keyed by i.
+func ParallelForWorker(workers, n int, fn func(w, i int)) {
 	workers = Workers(workers)
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			fn(i)
+			fn(0, i)
 		}
 		return
 	}
@@ -396,7 +406,7 @@ func ParallelFor(workers, n int, fn func(i int)) {
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func() {
+		go func(w int) {
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
@@ -413,10 +423,10 @@ func ParallelFor(workers, n int, fn func(i int)) {
 							}
 						}
 					}()
-					fn(i)
+					fn(w, i)
 				}()
 			}
-		}()
+		}(w)
 	}
 	wg.Wait()
 	for _, p := range panics {
