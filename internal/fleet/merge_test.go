@@ -275,6 +275,20 @@ func TestFleetMatchesSingleProcess(t *testing.T) {
 					"/v1/search?name=telecom&limit=3",
 					"/v1/dataset",
 				)
+				// Malformed generation pins and an unknown endpoint: the
+				// router answers these from the shared parser and spine.
+				a, cc := ds.AllASNs()[0], ccs[0]
+				paths = append(paths,
+					fmt.Sprintf("/v1/asn/%d?gen=-1", a),
+					fmt.Sprintf("/v1/asn/%d?gen=", a),
+					fmt.Sprintf("/v1/asn/%d?gen=abc", a),
+					"/v1/country/"+cc+"?gen=-1",
+					"/v1/search?name=telecom&gen=",
+					"/v1/org/ORG-NOPE?gen=x",
+					"/v1/dataset?gen=-1",
+					"/v1/dataset?gen=",
+					"/v1/nope",
+				)
 
 				for _, path := range paths {
 					want := httptest.NewRecorder()

@@ -1,13 +1,18 @@
 package fleet
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+
+	"stateowned/internal/serve"
+)
 
 // Metrics is the router's fleet-level accounting: how much traffic is
 // fanning out, how it degrades (failed legs, hedges, partial answers)
 // and how the router defends itself (shed requests, breaker denials).
+// Request and shed totals come from the serve spine the router runs on,
+// so Requests counts every answered request, the ops plane included.
 type Metrics struct {
-	requests       atomic.Uint64
-	shed           atomic.Uint64
+	spine          *serve.Metrics
 	fanouts        atomic.Uint64
 	legs           atomic.Uint64
 	legFailures    atomic.Uint64
@@ -30,9 +35,10 @@ type MetricsSnapshot struct {
 
 // Snapshot reads the counters.
 func (m *Metrics) Snapshot() MetricsSnapshot {
+	spine := m.spine.Snapshot()
 	return MetricsSnapshot{
-		Requests:       m.requests.Load(),
-		Shed:           m.shed.Load(),
+		Requests:       spine.Requests,
+		Shed:           spine.ShedTotal,
 		Fanouts:        m.fanouts.Load(),
 		Legs:           m.legs.Load(),
 		LegFailures:    m.legFailures.Load(),

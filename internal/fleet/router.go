@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"net/url"
 	"sort"
 	"strconv"
 	"strings"
@@ -14,10 +13,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"stateowned/internal/nameutil"
 	"stateowned/internal/runner"
 	"stateowned/internal/serve"
-	"stateowned/internal/world"
 )
 
 // ShardsFailedHeader names the shards whose legs were lost on a
@@ -93,12 +90,14 @@ type RouterOptions struct {
 // recovery, per-leg deadlines, one hedged retry, partial (206)
 // envelopes for minority leg loss, and router-level admission shedding.
 type Router struct {
+	// spine is the serve package's containment spine — admission, panic
+	// barrier, single writer — run without request deadlines: legs carry
+	// their own.
+	spine      *serve.Spine
 	part       Partition
 	shards     []*shardState
 	gen        atomic.Int64
-	limiter    *serve.Limiter
 	metrics    Metrics
-	mux        *http.ServeMux
 	after      serve.After
 	legTimeout time.Duration
 	hedgeAfter time.Duration
@@ -163,7 +162,6 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 		probeEvery: opts.BreakerProbeEvery,
 		searchLim:  opts.SearchLimit,
 		life:       opts.Lifecycle,
-		mux:        http.NewServeMux(),
 	}
 	reqTimeout := opts.RequestTimeout
 	if reqTimeout <= 0 {
@@ -184,9 +182,8 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 	if rt.after == nil {
 		rt.after = time.After
 	}
-	if opts.Admission != nil {
-		rt.limiter = serve.NewLimiter(*opts.Admission, rt.after)
-	}
+	rt.spine = serve.NewSpine(nil, opts.Admission, 0, rt.after)
+	rt.metrics.spine = rt.spine.Metrics()
 	for i, c := range opts.Shards {
 		c.Index = i
 		rt.shards = append(rt.shards, &shardState{
@@ -195,35 +192,31 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 		})
 	}
 	rt.gen.Store(int64(opts.InitialGen))
-	rt.mux.HandleFunc("GET /v1/asn/{asn}", rt.handle(rt.handleASN))
-	rt.mux.HandleFunc("GET /v1/country/{cc}", rt.handle(rt.handleCountry))
-	rt.mux.HandleFunc("GET /v1/org/{id}", rt.handle(rt.handleOrg))
-	rt.mux.HandleFunc("GET /v1/search", rt.handle(rt.handleSearch))
-	rt.mux.HandleFunc("GET /v1/dataset", rt.handle(rt.handleDataset))
-	rt.mux.HandleFunc("GET /v1/diff", rt.handle(rt.handleDiff))
-	rt.mux.HandleFunc("GET /v1/graph/neighbors/{asn}", rt.handle(func(r *http.Request) routerResponse {
-		return rt.handleGraph(r, "/v1/graph/neighbors/"+url.PathEscape(r.PathValue("asn")))
-	}))
-	rt.mux.HandleFunc("GET /v1/graph/upstreams/{asn}", rt.handle(func(r *http.Request) routerResponse {
-		return rt.handleGraph(r, "/v1/graph/upstreams/"+url.PathEscape(r.PathValue("asn")))
-	}))
-	rt.mux.HandleFunc("GET /v1/graph/cone/{asn}", rt.handle(func(r *http.Request) routerResponse {
-		return rt.handleGraph(r, "/v1/graph/cone/"+url.PathEscape(r.PathValue("asn")))
-	}))
-	rt.mux.HandleFunc("GET /v1/graph/path", rt.handle(func(r *http.Request) routerResponse {
-		return rt.handleGraph(r, "/v1/graph/path")
-	}))
-	// Hijack detections are global observations (like graph answers),
-	// served from any healthy shard's full plane.
-	rt.mux.HandleFunc("GET /v1/hijacks", rt.handle(func(r *http.Request) routerResponse {
-		return rt.handleGraph(r, "/v1/hijacks")
-	}))
-	rt.mux.HandleFunc("GET /healthz", rt.handleHealthz)
-	rt.mux.HandleFunc("GET /readyz", rt.handleReadyz)
-	rt.mux.HandleFunc("GET /metrics", rt.handleMetrics)
-	rt.mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		serve.WriteError(w, http.StatusNotFound, fmt.Sprintf("no route for %s %s", r.Method, r.URL.Path))
-	})
+	// what names each route's answer in the 503 a fleet that lost every
+	// shard gives; nil fn routes go to any one shard's full plane (graph
+	// answers and hijack detections are global observations, never
+	// range-carved; the dataset and the diff are whole-build answers).
+	for _, r := range []struct {
+		route *serve.Route
+		what  string
+		fn    func(ctx context.Context, q *serve.Request, target, pin string) serve.Response
+	}{
+		{serve.ASNRoute, "the request", rt.handleASN},
+		{serve.CountryRoute, "the request", rt.handleCountry},
+		{serve.OrgRoute, "the request", rt.handleOrg},
+		{serve.SearchRoute, "the request", rt.handleSearch},
+		{serve.DatasetRoute, "the dataset", nil},
+		{serve.DiffRoute, "the diff", nil},
+		{serve.NeighborsRoute, "the graph query", nil},
+		{serve.UpstreamsRoute, "the graph query", nil},
+		{serve.ConeRoute, "the graph query", nil},
+		{serve.PathRoute, "the graph query", nil},
+		{serve.HijacksRoute, "the graph query", nil},
+	} {
+		rt.spine.Handle(r.route, rt.routed(r.route, r.what, r.fn))
+	}
+	rt.spine.Handle(serve.ReadyzRoute, rt.handleReadyz)
+	rt.spine.Handle(serve.MetricsRoute, rt.handleMetrics)
 	return rt, nil
 }
 
@@ -242,8 +235,8 @@ func (rt *Router) Metrics() *Metrics { return &rt.metrics }
 // /readyz.
 func (rt *Router) setFlipStatus(st FlipStatus) { rt.flip.Store(&st) }
 
-// ServeHTTP routes one request.
-func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) { rt.mux.ServeHTTP(w, r) }
+// ServeHTTP routes one request through the spine.
+func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) { rt.spine.ServeHTTP(w, r) }
 
 // Serve runs the router on ln with the hardened lifecycle until ctx is
 // canceled.
@@ -251,84 +244,57 @@ func (rt *Router) Serve(ctx context.Context, ln net.Listener) error {
 	return serve.ServeHandler(ctx, ln, rt, rt.life)
 }
 
-// routerResponse is a materialized router answer; handlers build one
-// and only the spine writes, mirroring the single-process server's
-// containment discipline.
-type routerResponse struct {
-	status       int
-	body         []byte
-	gen          string
-	shardsFailed []int
-	retryAfter   int
-}
-
-func errRouterResponse(status int, msg string) routerResponse {
-	body, _ := serve.JSONBody(serve.ErrorBody{Error: msg, Status: status})
-	return routerResponse{status: status, body: body}
-}
-
-// handle is the router's containment spine: admission shedding, panic
-// isolation, single-writer response emission.
-func (rt *Router) handle(fn func(*http.Request) routerResponse) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		rt.metrics.requests.Add(1)
-		release, verdict := rt.limiter.Acquire(r.Context().Done())
-		if verdict != serve.Admitted {
-			rt.metrics.shed.Add(1)
-			resp := errRouterResponse(http.StatusServiceUnavailable, "router overloaded, retry later")
-			resp.retryAfter = rt.limiter.RetryAfterSeconds()
-			rt.write(w, resp)
-			return
+// routed parses a /v1 request with the shared parser and pins it: the
+// client's explicit ?gen= (time travel within the retention ring), the
+// committed fleet generation otherwise (/v1/diff names its own
+// generations and pins none). A malformed ?gen= is answered here. A
+// malformed parameter is not: its answer depends on the pinned
+// generation (404/410 if no shard holds it, a missing graph plane, an
+// AS absent from the topology), so it goes, by its raw target, to any
+// one shard's full plane, whose parser gives exactly the single-process
+// answer. Every other request goes to fn — or, for nil fn, by its
+// canonical target to any one shard's full plane.
+func (rt *Router) routed(route *serve.Route, what string,
+	fn func(ctx context.Context, q *serve.Request, target, pin string) serve.Response) func(*http.Request) serve.Response {
+	return func(r *http.Request) serve.Response {
+		q, errResp := route.Parse(r)
+		if q == nil {
+			return errResp
 		}
-		defer release()
-		resp := func() (resp routerResponse) {
-			defer func() {
-				if p := recover(); p != nil {
-					resp = errRouterResponse(http.StatusInternalServerError, "internal error")
-				}
-			}()
-			return fn(r)
-		}()
-		rt.write(w, resp)
+		pin := q.Gen
+		if pin < 0 && route.Pins {
+			pin = rt.Gen()
+		}
+		pinStr := ""
+		if pin >= 0 {
+			pinStr = strconv.Itoa(pin)
+		}
+		target := q.Target(pin)
+		if fn == nil || q.Malformed() {
+			return rt.fromAnyShard(r.Context(), target, pinStr, what)
+		}
+		return fn(r.Context(), q, target, pinStr)
 	}
 }
 
-// write emits a materialized response.
-func (rt *Router) write(w http.ResponseWriter, resp routerResponse) {
-	w.Header().Set("Content-Type", "application/json")
-	if resp.gen != "" {
-		w.Header().Set(serve.GenerationHeader, resp.gen)
-	}
-	if len(resp.shardsFailed) > 0 {
-		parts := make([]string, len(resp.shardsFailed))
-		for i, s := range resp.shardsFailed {
-			parts[i] = strconv.Itoa(s)
-		}
-		w.Header().Set(ShardsFailedHeader, strings.Join(parts, ","))
-		rt.metrics.partials.Add(1)
-	}
-	if resp.retryAfter > 0 {
-		w.Header().Set("Retry-After", strconv.Itoa(resp.retryAfter))
-	}
-	w.WriteHeader(resp.status)
-	_, _ = w.Write(resp.body)
+// legResponse passes one shard's answer through byte for byte.
+func legResponse(l leg) serve.Response {
+	return serve.Response{Status: l.status, Body: l.body, Gen: l.gen, RetryAfter: l.retryAfter}
 }
 
-// pin resolves the generation this request's legs are pinned to: the
-// client's explicit ?gen= if present (time travel within the retention
-// ring), the router's committed fleet generation otherwise. The second
-// return is the already-formatted query value.
-func (rt *Router) pin(r *http.Request) (int, string, *routerResponse) {
-	if raw := r.URL.Query().Get("gen"); raw != "" {
-		n, err := strconv.Atoi(raw)
-		if err != nil || n < 0 {
-			resp := errRouterResponse(http.StatusBadRequest, fmt.Sprintf("invalid generation %q", raw))
-			return 0, "", &resp
-		}
-		return n, raw, nil
+// withFailed names the shards whose legs were lost on resp
+// (X-Shards-Failed) and counts the degraded answer.
+func (rt *Router) withFailed(resp serve.Response, failed []int) serve.Response {
+	if len(failed) == 0 {
+		return resp
 	}
-	g := rt.Gen()
-	return g, strconv.Itoa(g), nil
+	parts := make([]string, len(failed))
+	for i, s := range failed {
+		parts[i] = strconv.Itoa(s)
+	}
+	resp.Header = http.Header{ShardsFailedHeader: {strings.Join(parts, ",")}}
+	rt.metrics.partials.Add(1)
+	return resp
 }
 
 // --- leg fetching ----------------------------------------------------------
@@ -483,74 +449,46 @@ func (rt *Router) anyShard(ctx context.Context, path, pin string) (leg, []int) {
 // handleASN is the single-shard fast path: the partition function names
 // the one shard that owns the ASN, and its (pinned, coherent) answer is
 // passed through byte for byte.
-func (rt *Router) handleASN(r *http.Request) routerResponse {
-	raw := r.PathValue("asn")
-	n, err := strconv.ParseUint(raw, 10, 32)
-	if err != nil || n == 0 {
-		return errRouterResponse(http.StatusBadRequest, fmt.Sprintf("invalid ASN %q", raw))
-	}
-	_, pinStr, errResp := rt.pin(r)
-	if errResp != nil {
-		return *errResp
-	}
-	shard := rt.part.ShardOf(world.ASN(n))
-	l := rt.fetchLeg(r.Context(), shard, "/v1/asn/"+raw+"?gen="+pinStr)
+func (rt *Router) handleASN(ctx context.Context, q *serve.Request, target, pin string) serve.Response {
+	shard := rt.part.ShardOf(q.ASN)
+	l := rt.fetchLeg(ctx, shard, target)
 	switch {
 	case l.err != nil:
-		resp := errRouterResponse(http.StatusServiceUnavailable,
-			fmt.Sprintf("shard %d unavailable", shard))
-		resp.shardsFailed = []int{shard}
-		return resp
-	case l.status == http.StatusOK && l.gen != pinStr:
-		resp := errRouterResponse(http.StatusServiceUnavailable,
-			fmt.Sprintf("shard %d answered generation %s, pinned %s", shard, l.gen, pinStr))
-		resp.shardsFailed = []int{shard}
-		return resp
+		return rt.withFailed(serve.ErrorResponse(http.StatusServiceUnavailable,
+			fmt.Sprintf("shard %d unavailable", shard)), []int{shard})
+	case l.status == http.StatusOK && l.gen != pin:
+		return rt.withFailed(serve.ErrorResponse(http.StatusServiceUnavailable,
+			fmt.Sprintf("shard %d answered generation %s, pinned %s", shard, l.gen, pin)), []int{shard})
 	default:
-		return routerResponse{status: l.status, body: l.body, gen: l.gen, retryAfter: l.retryAfter}
+		return legResponse(l)
 	}
 }
 
 // handleCountry scatter-gathers every shard's slice of a country and
 // merges them deterministically.
-func (rt *Router) handleCountry(r *http.Request) routerResponse {
-	cc := serve.CanonicalCC(r.PathValue("cc"))
-	if len(cc) != 2 || cc[0] < 'A' || cc[0] > 'Z' || cc[1] < 'A' || cc[1] > 'Z' {
-		return errRouterResponse(http.StatusBadRequest, fmt.Sprintf("invalid country code %q", r.PathValue("cc")))
-	}
-	_, pinStr, errResp := rt.pin(r)
-	if errResp != nil {
-		return *errResp
-	}
-	legs := rt.scatter(r.Context(), "/v1/country/"+cc+"?gen="+pinStr)
-	cls := classify(legs, pinStr)
+func (rt *Router) handleCountry(ctx context.Context, q *serve.Request, target, pin string) serve.Response {
+	cls := classify(rt.scatter(ctx, target), pin)
 	if cls.detErr != nil {
-		return routerResponse{status: cls.detErr.status, body: cls.detErr.body, gen: cls.detErr.gen}
+		return legResponse(*cls.detErr)
 	}
 	if len(cls.ok) == 0 {
 		return rt.allLegsLost(cls)
 	}
-	body, err := mergeCountry(cc, cls.ok, cls.envelope())
+	body, err := mergeCountry(q.CC, cls.ok, cls.envelope())
 	if err != nil {
-		return errRouterResponse(http.StatusInternalServerError, "merging country responses")
+		return serve.ErrorResponse(http.StatusInternalServerError, "merging country responses")
 	}
-	return rt.mergedResponse(body, pinStr, cls)
+	return rt.mergedResponse(body, pin, cls)
 }
 
 // handleOrg scatters an organization lookup; the owning shards carry
 // whole replicas, so the first coherent 200 is the complete answer.
-func (rt *Router) handleOrg(r *http.Request) routerResponse {
-	_, pinStr, errResp := rt.pin(r)
-	if errResp != nil {
-		return *errResp
-	}
-	legs := rt.scatter(r.Context(), "/v1/org/"+url.PathEscape(r.PathValue("id"))+"?gen="+pinStr)
-	cls := classify(legs, pinStr)
+func (rt *Router) handleOrg(ctx context.Context, _ *serve.Request, target, pin string) serve.Response {
+	cls := classify(rt.scatter(ctx, target), pin)
 	if len(cls.ok) > 0 {
 		// A replica is the whole record: one coherent 200 is complete even
 		// if other shards were lost.
-		l := cls.ok[0]
-		return routerResponse{status: l.status, body: l.body, gen: l.gen}
+		return legResponse(cls.ok[0])
 	}
 	if len(cls.failed) > 0 {
 		// The org may have lived on a lost shard; "not found" would be a
@@ -558,147 +496,64 @@ func (rt *Router) handleOrg(r *http.Request) routerResponse {
 		return rt.allLegsLost(cls)
 	}
 	if cls.detErr != nil {
-		return routerResponse{status: cls.detErr.status, body: cls.detErr.body, gen: cls.detErr.gen}
+		return legResponse(*cls.detErr)
 	}
-	return errRouterResponse(http.StatusServiceUnavailable, "no shard answered")
+	return serve.ErrorResponse(http.StatusServiceUnavailable, "no shard answered")
 }
 
 // handleSearch scatter-gathers the fuzzy name search and merges the
 // per-shard top-K into the exact global top-K.
-func (rt *Router) handleSearch(r *http.Request) routerResponse {
-	q := r.URL.Query()
-	name := q.Get("name")
-	if nameutil.Normalize(name) == "" {
-		return errRouterResponse(http.StatusBadRequest, "missing or empty ?name= query")
-	}
-	limit := rt.searchLim
-	if rawLimit := q.Get("limit"); rawLimit != "" {
-		n, err := strconv.Atoi(rawLimit)
-		if err != nil || n <= 0 {
-			return errRouterResponse(http.StatusBadRequest, fmt.Sprintf("invalid ?limit=%s", rawLimit))
-		}
-		if n < limit {
-			limit = n
-		}
-	}
-	_, pinStr, errResp := rt.pin(r)
-	if errResp != nil {
-		return *errResp
-	}
-	vals := url.Values{}
-	vals.Set("name", name)
-	vals.Set("limit", strconv.Itoa(limit))
-	vals.Set("gen", pinStr)
-	legs := rt.scatter(r.Context(), "/v1/search?"+vals.Encode())
-	cls := classify(legs, pinStr)
+func (rt *Router) handleSearch(ctx context.Context, q *serve.Request, target, pin string) serve.Response {
+	cls := classify(rt.scatter(ctx, target), pin)
 	if cls.detErr != nil {
-		return routerResponse{status: cls.detErr.status, body: cls.detErr.body, gen: cls.detErr.gen}
+		return legResponse(*cls.detErr)
 	}
 	if len(cls.ok) == 0 {
 		return rt.allLegsLost(cls)
 	}
-	body, err := mergeSearch(cls.ok, limit, cls.envelope())
+	body, err := mergeSearch(cls.ok, q.SearchLimit(rt.searchLim), cls.envelope())
 	if err != nil {
-		return errRouterResponse(http.StatusInternalServerError, "merging search responses")
+		return serve.ErrorResponse(http.StatusInternalServerError, "merging search responses")
 	}
-	return rt.mergedResponse(body, pinStr, cls)
+	return rt.mergedResponse(body, pin, cls)
 }
 
-// handleDataset routes the full Listing-1 export to any healthy shard's
-// full plane — every shard builds the identical generation, so one
-// shard's export is the fleet's.
-func (rt *Router) handleDataset(r *http.Request) routerResponse {
-	_, pinStr, errResp := rt.pin(r)
-	if errResp != nil {
-		return *errResp
-	}
-	l, failed := rt.anyShard(r.Context(), FullPrefix+"/v1/dataset?gen="+pinStr, pinStr)
+// fromAnyShard answers from any healthy shard's full plane: every shard
+// builds the identical generation, so one shard's answer is the
+// fleet's. pin non-empty requires the answer to be coherent with it.
+func (rt *Router) fromAnyShard(ctx context.Context, target, pin, what string) serve.Response {
+	l, failed := rt.anyShard(ctx, FullPrefix+target, pin)
 	if l.err != nil {
-		resp := errRouterResponse(http.StatusServiceUnavailable, "no shard could serve the dataset")
-		resp.shardsFailed = failed
-		resp.retryAfter = 1
-		return resp
+		resp := serve.ErrorResponse(http.StatusServiceUnavailable, "no shard could serve "+what)
+		resp.RetryAfter = 1
+		return rt.withFailed(resp, failed)
 	}
-	return routerResponse{status: l.status, body: l.body, gen: l.gen, retryAfter: l.retryAfter}
-}
-
-// handleDiff routes the churn audit to any healthy shard's full plane;
-// ?from= and ?to= name the generations, so the answer is deterministic
-// regardless of which shard runs it.
-func (rt *Router) handleDiff(r *http.Request) routerResponse {
-	path := FullPrefix + "/v1/diff"
-	if raw := r.URL.RawQuery; raw != "" {
-		path += "?" + raw
-	}
-	l, failed := rt.anyShard(r.Context(), path, "")
-	if l.err != nil {
-		resp := errRouterResponse(http.StatusServiceUnavailable, "no shard could serve the diff")
-		resp.shardsFailed = failed
-		resp.retryAfter = 1
-		return resp
-	}
-	return routerResponse{status: l.status, body: l.body, gen: l.gen, retryAfter: l.retryAfter}
-}
-
-// handleGraph routes one /v1/graph/* query to any healthy shard's full
-// plane — graph answers are global (relationships cross partition
-// boundaries), so they must never be range-carved; every shard holds
-// the identical compiled graph. When the client did not pin a
-// generation the router pins its committed fleet generation, so a
-// two-phase flip mid-request cannot mix generations. An explicit ?gen=
-// (even a malformed or empty one) passes through raw: the shard's own
-// pinning makes the answer deterministic, and its error envelopes stay
-// byte-identical to single-process serving.
-func (rt *Router) handleGraph(r *http.Request, subpath string) routerResponse {
-	q := r.URL.Query()
-	pin := ""
-	if _, ok := q["gen"]; !ok {
-		pin = strconv.Itoa(rt.Gen())
-		q.Set("gen", pin)
-	}
-	path := FullPrefix + subpath
-	if enc := q.Encode(); enc != "" {
-		path += "?" + enc
-	}
-	l, failed := rt.anyShard(r.Context(), path, pin)
-	if l.err != nil {
-		resp := errRouterResponse(http.StatusServiceUnavailable, "no shard could serve the graph query")
-		resp.shardsFailed = failed
-		resp.retryAfter = 1
-		return resp
-	}
-	return routerResponse{status: l.status, body: l.body, gen: l.gen, retryAfter: l.retryAfter}
+	return legResponse(l)
 }
 
 // mergedResponse wraps a merged body: 200 when every leg contributed,
 // 206 + X-Shards-Failed when a minority was lost.
-func (rt *Router) mergedResponse(body []byte, pin string, cls classified) routerResponse {
-	resp := routerResponse{status: http.StatusOK, body: body, gen: pin}
+func (rt *Router) mergedResponse(body []byte, pin string, cls classified) serve.Response {
+	resp := serve.Response{Status: http.StatusOK, Body: body, Gen: pin}
 	if len(cls.failed) > 0 {
-		resp.status = http.StatusPartialContent
-		resp.shardsFailed = cls.failed
-		resp.retryAfter = cls.retryAfter
+		resp.Status = http.StatusPartialContent
+		resp.RetryAfter = cls.retryAfter
 	}
-	return resp
+	return rt.withFailed(resp, cls.failed)
 }
 
 // allLegsLost is the every-leg-failed verdict: an explicit 503 naming
 // the lost shards — never a fabricated empty answer, never a 500.
-func (rt *Router) allLegsLost(cls classified) routerResponse {
-	resp := errRouterResponse(http.StatusServiceUnavailable, "all shards unavailable")
-	resp.shardsFailed = cls.failed
-	resp.retryAfter = cls.retryAfter
-	if resp.retryAfter <= 0 {
-		resp.retryAfter = 1
+func (rt *Router) allLegsLost(cls classified) serve.Response {
+	resp := serve.ErrorResponse(http.StatusServiceUnavailable, "all shards unavailable")
+	resp.RetryAfter = cls.retryAfter
+	if resp.RetryAfter <= 0 {
+		resp.RetryAfter = 1
 	}
-	return resp
+	return rt.withFailed(resp, cls.failed)
 }
 
 // --- ops endpoints ---------------------------------------------------------
-
-func (rt *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	serve.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
 
 // RouterStatus is the /readyz body: the committed fleet generation, the
 // partition, per-shard breaker state and the coordinator's latest flip
@@ -710,7 +565,7 @@ type RouterStatus struct {
 	Flip         *FlipStatus `json:"flip,omitempty"`
 }
 
-func (rt *Router) handleReadyz(w http.ResponseWriter, _ *http.Request) {
+func (rt *Router) handleReadyz(*http.Request) serve.Response {
 	st := RouterStatus{Gen: rt.Gen(), Partition: rt.part, Flip: rt.flip.Load()}
 	for i, ss := range rt.shards {
 		if ss.open() {
@@ -723,7 +578,7 @@ func (rt *Router) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	if len(st.BreakersOpen) == len(rt.shards) && len(rt.shards) > 0 {
 		status = http.StatusServiceUnavailable
 	}
-	serve.WriteJSON(w, status, st)
+	return serve.JSONResponse(status, st)
 }
 
 // RouterMetrics is the /metrics body.
@@ -732,9 +587,9 @@ type RouterMetrics struct {
 	Admission serve.AdmissionStats `json:"admission"`
 }
 
-func (rt *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	serve.WriteJSON(w, http.StatusOK, RouterMetrics{
+func (rt *Router) handleMetrics(*http.Request) serve.Response {
+	return serve.JSONResponse(http.StatusOK, RouterMetrics{
 		Fleet:     rt.metrics.Snapshot(),
-		Admission: rt.limiter.Stats(),
+		Admission: rt.spine.AdmissionStats(),
 	})
 }

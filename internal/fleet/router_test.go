@@ -378,7 +378,7 @@ func TestRouterAdmissionShed(t *testing.T) {
 	if ra := rec.Header().Get("Retry-After"); ra != "1" {
 		t.Fatalf("shed Retry-After = %q, want \"1\"", ra)
 	}
-	if !strings.Contains(rec.Body.String(), "router overloaded") {
+	if !strings.Contains(rec.Body.String(), "overloaded: admission queue full") {
 		t.Fatalf("shed body: %s", rec.Body.String())
 	}
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"strconv"
 	"sync"
 	"time"
 
@@ -145,14 +144,10 @@ func (sh *ShardServer) Status() ShardStatus {
 	}
 }
 
-// genParam parses the ?gen= control parameter.
+// genParam parses the ?gen= control parameter with the data plane's
+// generation parser.
 func genParam(r *http.Request) (int, error) {
-	raw := r.URL.Query().Get("gen")
-	n, err := strconv.Atoi(raw)
-	if err != nil || n < 0 {
-		return 0, fmt.Errorf("invalid ?gen=%q: want a non-negative generation number", raw)
-	}
-	return n, nil
+	return serve.ParseGen(r.URL.Query().Get("gen"), "gen")
 }
 
 // handleStage is phase one: build generation gen through the snapshot
@@ -163,12 +158,12 @@ func genParam(r *http.Request) (int, error) {
 func (sh *ShardServer) handleStage(w http.ResponseWriter, r *http.Request) {
 	gen, err := genParam(r)
 	if err != nil {
-		serve.WriteError(w, http.StatusBadRequest, err.Error())
+		serve.Write(w, serve.ErrorResponse(http.StatusBadRequest, err.Error()))
 		return
 	}
 	defer sh.holdWriteDeadline(w)()
 	if err := sh.store.Stage(gen); err != nil {
-		serve.WriteError(w, http.StatusConflict, err.Error())
+		serve.Write(w, serve.ErrorResponse(http.StatusConflict, err.Error()))
 		return
 	}
 	// Pre-carve the staged generation so the first post-commit request
@@ -176,9 +171,9 @@ func (sh *ShardServer) handleStage(w http.ResponseWriter, r *http.Request) {
 	if g := sh.store.Staged(); g != nil && g.Gen == gen {
 		sh.src.carve(g)
 	}
-	serve.WriteJSON(w, http.StatusOK, StageAck{
+	serve.Write(w, serve.JSONResponse(http.StatusOK, StageAck{
 		Shard: sh.src.shard, Gen: gen, Live: sh.store.Current().Gen, Done: true,
-	})
+	}))
 }
 
 // holdWriteDeadline lifts the connection's write deadline while a
@@ -205,17 +200,17 @@ func (sh *ShardServer) holdWriteDeadline(w http.ResponseWriter) (rearm func()) {
 func (sh *ShardServer) handleCommit(w http.ResponseWriter, r *http.Request) {
 	gen, err := genParam(r)
 	if err != nil {
-		serve.WriteError(w, http.StatusBadRequest, err.Error())
+		serve.Write(w, serve.ErrorResponse(http.StatusBadRequest, err.Error()))
 		return
 	}
 	defer sh.holdWriteDeadline(w)()
 	if _, err := sh.store.Commit(gen); err != nil {
-		serve.WriteError(w, http.StatusConflict, err.Error())
+		serve.Write(w, serve.ErrorResponse(http.StatusConflict, err.Error()))
 		return
 	}
-	serve.WriteJSON(w, http.StatusOK, StageAck{
+	serve.Write(w, serve.JSONResponse(http.StatusOK, StageAck{
 		Shard: sh.src.shard, Gen: gen, Live: sh.store.Current().Gen, Done: true,
-	})
+	}))
 }
 
 // handleAbort discards a staged generation; the fleet keeps serving the
@@ -223,18 +218,18 @@ func (sh *ShardServer) handleCommit(w http.ResponseWriter, r *http.Request) {
 func (sh *ShardServer) handleAbort(w http.ResponseWriter, r *http.Request) {
 	gen, err := genParam(r)
 	if err != nil {
-		serve.WriteError(w, http.StatusBadRequest, err.Error())
+		serve.Write(w, serve.ErrorResponse(http.StatusBadRequest, err.Error()))
 		return
 	}
 	dropped := sh.store.AbortStage(gen)
 	sh.src.drop(gen)
-	serve.WriteJSON(w, http.StatusOK, StageAck{
+	serve.Write(w, serve.JSONResponse(http.StatusOK, StageAck{
 		Shard: sh.src.shard, Gen: gen, Live: sh.store.Current().Gen, Done: dropped,
-	})
+	}))
 }
 
 func (sh *ShardServer) handleStatus(w http.ResponseWriter, _ *http.Request) {
-	serve.WriteJSON(w, http.StatusOK, sh.Status())
+	serve.Write(w, serve.JSONResponse(http.StatusOK, sh.Status()))
 }
 
 // shardSource adapts the snapshot store to the serving layer, carving

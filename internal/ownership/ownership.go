@@ -235,18 +235,6 @@ func (g *Graph) Holders(target EntityID) []Holding {
 	return hs
 }
 
-// HoldingsOf returns the positions the holder owns, largest share first.
-func (g *Graph) HoldingsOf(holder EntityID) []Holding {
-	hs := append([]Holding(nil), g.outbound[holder]...)
-	sort.Slice(hs, func(i, j int) bool {
-		if hs[i].Share != hs[j].Share {
-			return hs[i].Share > hs[j].Share
-		}
-		return hs[i].Target < hs[j].Target
-	})
-	return hs
-}
-
 // resolve recomputes the control fixpoint.
 //
 // Semantics: government entities are controlled by their own country. For

@@ -162,12 +162,6 @@ func (s *Stream) Shuffle(n int, swap func(i, j int)) {
 	}
 }
 
-// PickString returns a uniformly chosen element of the slice.
-// It panics on an empty slice.
-func (s *Stream) PickString(xs []string) string {
-	return xs[s.Intn(len(xs))]
-}
-
 // WeightedPick returns an index of weights chosen with probability
 // proportional to its weight. Zero and negative weights are treated as
 // unselectable; if all weights are unselectable it returns 0.

@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
-	"net/http"
 )
 
 // ErrorBody is the canonical JSON error envelope: every /v1 error
@@ -30,32 +29,4 @@ func JSONBody(v any) ([]byte, error) {
 		return nil, err
 	}
 	return buf.Bytes(), nil
-}
-
-// WriteJSON writes v as an indented JSON response — the response-writer
-// form of jsonResponse for handlers that live outside this package's
-// containment spine (the fleet router and shard control plane).
-func WriteJSON(w http.ResponseWriter, status int, v any) {
-	body, err := JSONBody(v)
-	if err != nil {
-		WriteError(w, http.StatusInternalServerError, "encoding response")
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_, _ = w.Write(body)
-}
-
-// WriteError writes the canonical error envelope.
-func WriteError(w http.ResponseWriter, status int, msg string) {
-	body, err := JSONBody(ErrorBody{Error: msg, Status: status})
-	if err != nil {
-		// The envelope itself cannot fail to encode; keep a last-resort
-		// plain body anyway rather than panicking in an error path.
-		http.Error(w, msg, status)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_, _ = w.Write(body)
 }

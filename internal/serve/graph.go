@@ -92,144 +92,112 @@ type GraphPathResponse struct {
 
 // graphFor extracts the generation's compiled graph, materializing the
 // canonical 404 for sources that carry none (static index-only
-// sources).
-func graphFor(v *View) (*graph.Graph, response) {
+// sources). The plane check outranks every parameter error.
+func graphFor(v *View) (*graph.Graph, Response) {
 	if v.Graph == nil {
-		return nil, errResponse(http.StatusNotFound,
+		return nil, ErrorResponse(http.StatusNotFound,
 			"graph index unavailable: this source serves no topology graph")
 	}
-	return v.Graph, response{}
-}
-
-// parseGraphASN parses an ASN path or query parameter for the graph
-// endpoints. Unlike /v1/asn (whose 404 carries a full ASNResponse
-// body), every graph error is the unified envelope.
-func parseGraphASN(raw string) (world.ASN, response) {
-	n, err := strconv.ParseUint(raw, 10, 32)
-	if err != nil || n == 0 {
-		return 0, errResponse(http.StatusBadRequest, fmt.Sprintf("invalid ASN %q", raw))
-	}
-	return world.ASN(n), response{}
+	return v.Graph, Response{}
 }
 
 // inactiveASN is the graph plane's unknown-AS answer: the ASN parses
-// but is not in this generation's topology snapshot.
-func inactiveASN(a world.ASN) response {
-	return errResponse(http.StatusNotFound,
+// but is not in this generation's topology snapshot. Unlike /v1/asn
+// (whose 404 carries a full ASNResponse body), every graph error is the
+// unified envelope.
+func inactiveASN(a world.ASN) Response {
+	return ErrorResponse(http.StatusNotFound,
 		fmt.Sprintf("AS%d is not in this generation's topology", a))
 }
 
-func (s *Server) handleGraphNeighbors(v *View, r *http.Request) response {
+func (s *Server) handleGraphNeighbors(v *View, q *Request) Response {
 	g, errResp := graphFor(v)
 	if g == nil {
 		return errResp
 	}
-	a, errResp := parseGraphASN(r.PathValue("asn"))
+	a := q.ASN
 	if a == 0 {
-		return errResp
+		return *q.bad
 	}
 	if !g.Active(a) {
 		return inactiveASN(a)
 	}
-	if raw := r.URL.Query().Get("class"); raw != "" {
-		c, ok := graph.ParseClass(raw)
-		if !ok {
-			return errResponse(http.StatusBadRequest,
-				fmt.Sprintf("unknown relationship class %q (want provider, customer, peer or sibling)", raw))
-		}
-		ns, _ := g.Neighbors(a, c)
-		return jsonResponse(http.StatusOK, GraphNeighborClassResponse{
-			ASN: a, Class: c.String(), Count: len(ns), Neighbors: ASNList(ns),
+	// A malformed ?class= is reported only once the AS is known.
+	if q.bad != nil {
+		return *q.bad
+	}
+	if q.ByClass {
+		ns, _ := g.Neighbors(a, q.Class)
+		return JSONResponse(http.StatusOK, GraphNeighborClassResponse{
+			ASN: a, Class: q.Class.String(), Count: len(ns), Neighbors: ASNList(ns),
 		})
 	}
 	prov, _ := g.Neighbors(a, graph.Provider)
 	cust, _ := g.Neighbors(a, graph.Customer)
 	peer, _ := g.Neighbors(a, graph.Peer)
 	sibs, _ := g.Neighbors(a, graph.Sibling)
-	return jsonResponse(http.StatusOK, GraphNeighborsResponse{
+	return JSONResponse(http.StatusOK, GraphNeighborsResponse{
 		ASN: a, Providers: ASNList(prov), Customers: ASNList(cust),
 		Peers: ASNList(peer), Siblings: ASNList(sibs),
 	})
 }
 
-func (s *Server) handleGraphUpstreams(v *View, r *http.Request) response {
+func (s *Server) handleGraphUpstreams(v *View, q *Request) Response {
 	g, errResp := graphFor(v)
 	if g == nil {
 		return errResp
 	}
-	a, errResp := parseGraphASN(r.PathValue("asn"))
-	if a == 0 {
-		return errResp
+	if q.bad != nil {
+		return *q.bad
 	}
-	deps, ok := g.Upstreams(a)
+	deps, ok := g.Upstreams(q.ASN)
 	if !ok {
-		return inactiveASN(a)
+		return inactiveASN(q.ASN)
 	}
 	if deps == nil {
 		deps = []graph.Dependency{}
 	}
-	return jsonResponse(http.StatusOK, GraphUpstreamsResponse{
-		ASN: a, PathsObserved: g.PathsObserved(a), Monitors: g.NumMonitors(), Upstreams: deps,
+	return JSONResponse(http.StatusOK, GraphUpstreamsResponse{
+		ASN: q.ASN, PathsObserved: g.PathsObserved(q.ASN), Monitors: g.NumMonitors(), Upstreams: deps,
 	})
 }
 
-func (s *Server) handleGraphCone(v *View, r *http.Request) response {
+func (s *Server) handleGraphCone(v *View, q *Request) Response {
 	g, errResp := graphFor(v)
 	if g == nil {
 		return errResp
 	}
-	a, errResp := parseGraphASN(r.PathValue("asn"))
-	if a == 0 {
-		return errResp
+	if q.bad != nil {
+		return *q.bad
 	}
-	if !g.Active(a) {
-		return inactiveASN(a)
+	if !g.Active(q.ASN) {
+		return inactiveASN(q.ASN)
 	}
-	cone := g.Cone(a)
-	return jsonResponse(http.StatusOK, GraphConeResponse{
-		ASN: a, Size: len(cone), Members: ASNList(cone),
+	cone := g.Cone(q.ASN)
+	return JSONResponse(http.StatusOK, GraphConeResponse{
+		ASN: q.ASN, Size: len(cone), Members: ASNList(cone),
 	})
 }
 
-func (s *Server) handleGraphPath(v *View, r *http.Request) response {
+func (s *Server) handleGraphPath(v *View, q *Request) Response {
 	g, errResp := graphFor(v)
 	if g == nil {
 		return errResp
 	}
-	q := r.URL.Query()
-	rawFrom, rawTo := q.Get("from"), q.Get("to")
-	if rawFrom == "" || rawTo == "" {
-		return errResponse(http.StatusBadRequest, "need both ?from= and ?to= ASNs")
+	if q.bad != nil {
+		return *q.bad
 	}
-	from, errResp := parseGraphASN(rawFrom)
-	if from == 0 {
-		return errResp
+	if !g.Active(q.From) {
+		return inactiveASN(q.From)
 	}
-	to, errResp := parseGraphASN(rawTo)
-	if to == 0 {
-		return errResp
+	if !g.Active(q.To) {
+		return inactiveASN(q.To)
 	}
-	if !g.Active(from) {
-		return inactiveASN(from)
-	}
-	if !g.Active(to) {
-		return inactiveASN(to)
-	}
-	p := g.Path(from, to)
-	body := GraphPathResponse{From: from, To: to, Found: len(p) > 0}
+	p := g.Path(q.From, q.To)
+	body := GraphPathResponse{From: q.From, To: q.To, Found: len(p) > 0}
 	if body.Found {
 		body.Hops = len(p) - 1
 		body.Path = p
 	}
-	return jsonResponse(http.StatusOK, body)
-}
-
-// canonASNParam numerically normalizes an ASN query value for cache
-// keys (leading zeros dropped); malformed values stay raw so distinct
-// garbage stays distinct.
-func canonASNParam(raw string) string {
-	if n, err := strconv.ParseUint(raw, 10, 32); err == nil {
-		return strconv.FormatUint(n, 10)
-	}
-	return "raw:" + raw
+	return JSONResponse(http.StatusOK, body)
 }

@@ -1,9 +1,7 @@
 package serve
 
 import (
-	"fmt"
 	"net/http"
-	"strconv"
 
 	"stateowned/internal/hijack"
 )
@@ -24,83 +22,39 @@ type HijacksResponse struct {
 // hijacksFor extracts the generation's detection report, materializing
 // the canonical 404 for sources that carry none (static index-only
 // sources, mirroring graphFor).
-func hijacksFor(v *View) (*hijack.Report, response) {
+func hijacksFor(v *View) (*hijack.Report, Response) {
 	if v.Hijacks == nil {
-		return nil, errResponse(http.StatusNotFound,
+		return nil, ErrorResponse(http.StatusNotFound,
 			"hijack detection unavailable: this source serves no routing observations")
 	}
-	return v.Hijacks, response{}
+	return v.Hijacks, Response{}
 }
 
-func (s *Server) handleHijacks(v *View, r *http.Request) response {
+func (s *Server) handleHijacks(v *View, q *Request) Response {
 	rep, errResp := hijacksFor(v)
 	if rep == nil {
 		return errResp
 	}
-	q := r.URL.Query()
-
-	var victim uint64
-	if raw := q.Get("victim"); raw != "" {
-		n, err := strconv.ParseUint(raw, 10, 32)
-		if err != nil || n == 0 {
-			return errResponse(http.StatusBadRequest, fmt.Sprintf("invalid ASN %q", raw))
-		}
-		victim = n
+	if q.bad != nil {
+		return *q.bad
 	}
-	var cc string
-	if raw := q.Get("cc"); raw != "" {
-		cc = CanonicalCC(raw)
-		if len(cc) != 2 || cc[0] < 'A' || cc[0] > 'Z' || cc[1] < 'A' || cc[1] > 'Z' {
-			return errResponse(http.StatusBadRequest, fmt.Sprintf("invalid country code %q", raw))
-		}
-	}
-	crossBorder := -1 // -1 = no filter
-	if raw := q.Get("cross_border"); raw != "" {
-		b, err := strconv.ParseBool(raw)
-		if err != nil {
-			return errResponse(http.StatusBadRequest, fmt.Sprintf("invalid cross_border value %q (want true or false)", raw))
-		}
-		if b {
-			crossBorder = 1
-		} else {
-			crossBorder = 0
-		}
-	}
-
 	body := HijacksResponse{
 		Generation: v.Gen,
 		Monitors:   rep.Monitors,
 		Detections: []hijack.Detection{},
 	}
 	for _, d := range rep.Detections {
-		if victim != 0 && uint64(d.Victim) != victim {
+		if q.ASN != 0 && d.Victim != q.ASN {
 			continue
 		}
-		if cc != "" && d.VictimCountry != cc {
+		if q.CC != "" && d.VictimCountry != q.CC {
 			continue
 		}
-		if crossBorder >= 0 && d.CrossBorder != (crossBorder == 1) {
+		if q.CrossBorder != nil && d.CrossBorder != *q.CrossBorder {
 			continue
 		}
 		body.Detections = append(body.Detections, d)
 	}
 	body.Count = len(body.Detections)
-	return jsonResponse(http.StatusOK, body)
-}
-
-// canonBoolParam normalizes a boolean query value for cache keys: every
-// spelling strconv.ParseBool accepts collapses to 0/1, malformed values
-// stay raw so distinct garbage stays distinct.
-func canonBoolParam(raw string) string {
-	if raw == "" {
-		return ""
-	}
-	b, err := strconv.ParseBool(raw)
-	if err != nil {
-		return "raw:" + raw
-	}
-	if b {
-		return "1"
-	}
-	return "0"
+	return JSONResponse(http.StatusOK, body)
 }

@@ -113,19 +113,19 @@ func TestExpensiveEndpointsGetHalfBudget(t *testing.T) {
 		Clock:          testClock(1),
 		RequestTimeout: 2 * time.Second,
 	})
-	for _, e := range []string{"/v1/asn", "/v1/country", "/v1/org", "/v1/dataset", "other"} {
-		if got := s.budgets[e]; got != 2*time.Second {
-			t.Errorf("budget[%s] = %v, want 2s", e, got)
+	for _, rt := range []*Route{ASNRoute, CountryRoute, OrgRoute, DatasetRoute, OtherRoute} {
+		if got := s.deadline(rt.Budget); got != 2*time.Second {
+			t.Errorf("budget[%s] = %v, want 2s", rt.Endpoint, got)
 		}
 	}
-	for _, e := range []string{"/v1/search", "/v1/diff"} {
-		if got := s.budgets[e]; got != time.Second {
-			t.Errorf("budget[%s] = %v, want 1s (half)", e, got)
+	for _, rt := range []*Route{SearchRoute, DiffRoute} {
+		if got := s.deadline(rt.Budget); got != time.Second {
+			t.Errorf("budget[%s] = %v, want 1s (half)", rt.Endpoint, got)
 		}
 	}
-	for _, e := range []string{"/healthz", "/readyz", "/metrics"} {
-		if got := s.budgets[e]; got != 0 {
-			t.Errorf("budget[%s] = %v, want none (operational plane)", e, got)
+	for _, rt := range []*Route{HealthzRoute, ReadyzRoute, MetricsRoute} {
+		if got := s.deadline(rt.Budget); got != 0 {
+			t.Errorf("budget[%s] = %v, want none (operational plane)", rt.Endpoint, got)
 		}
 	}
 }

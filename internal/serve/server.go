@@ -8,12 +8,10 @@ import (
 	"net"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"stateowned/internal/churn"
 	"stateowned/internal/expand"
-	"stateowned/internal/nameutil"
 	"stateowned/internal/runner"
 	"stateowned/internal/world"
 )
@@ -99,26 +97,13 @@ const GenerationHeader = "X-Generation"
 // their Indexes) or internally synchronized (source, cache, metrics,
 // limiter), so the server is safe under arbitrary request concurrency —
 // including concurrent generation swaps: a request resolves its View
-// once and answers entirely from it.
-//
-// Every request flows through the containment spine (dispatch):
-// admission control (503 + Retry-After under overload), a per-endpoint
-// deadline (504 with context cancellation), and per-request panic
-// isolation (500 + panics_total instead of a dead process). Handlers
-// therefore never touch the ResponseWriter — they return a materialized
-// response, and only the spine writes, so a late handler can never race
-// a timeout answer on the wire.
+// once and answers entirely from it. Every route runs on the embedded
+// Spine (admission, deadline, panic barrier, single writer).
 type Server struct {
-	src     Source
-	cache   *Cache
-	metrics *Metrics
-	mux     *http.ServeMux
-	limit   int
-
-	limiter *Limiter
-	after   After
-	// budgets maps endpoint name to its handler deadline (0 = none).
-	budgets map[string]time.Duration
+	*Spine
+	src   Source
+	cache *Cache
+	limit int
 
 	drainTimeout      time.Duration
 	readHeaderTimeout time.Duration
@@ -143,12 +128,10 @@ func New(idx *Index, opts Options) *Server {
 // from its immutable index.
 func NewDynamic(src Source, opts Options) *Server {
 	s := &Server{
+		Spine:             NewSpine(opts.Clock, opts.Admission, opts.RequestTimeout, opts.After),
 		src:               src,
 		cache:             NewCache(opts.CacheSize),
-		metrics:           NewMetrics(opts.Clock),
-		mux:               http.NewServeMux(),
 		limit:             opts.SearchLimit,
-		after:             opts.After,
 		drainTimeout:      opts.DrainTimeout,
 		readHeaderTimeout: opts.ReadHeaderTimeout,
 		writeTimeout:      opts.WriteTimeout,
@@ -157,66 +140,34 @@ func NewDynamic(src Source, opts Options) *Server {
 	if s.limit <= 0 {
 		s.limit = 10
 	}
-	if s.after == nil {
-		s.after = time.After
+	for route, fn := range map[*Route]func(*View, *Request) Response{
+		ASNRoute:       s.handleASN,
+		CountryRoute:   s.handleCountry,
+		OrgRoute:       s.handleOrg,
+		SearchRoute:    s.handleSearch,
+		DatasetRoute:   s.handleDataset,
+		NeighborsRoute: s.handleGraphNeighbors,
+		UpstreamsRoute: s.handleGraphUpstreams,
+		ConeRoute:      s.handleGraphCone,
+		PathRoute:      s.handleGraphPath,
+		HijacksRoute:   s.handleHijacks,
+	} {
+		s.Handle(route, s.viewHandler(route, fn))
 	}
-	if opts.Admission != nil {
-		s.limiter = NewLimiter(*opts.Admission, s.after)
-	}
-	// Per-endpoint deadlines: the expensive endpoints get half the
-	// budget — under pressure, cut the costly work first.
-	s.budgets = map[string]time.Duration{}
-	if b := opts.RequestTimeout; b > 0 {
-		tight := b / 2
-		for _, e := range []string{"/v1/asn", "/v1/country", "/v1/org", "/v1/dataset",
-			"/v1/graph/neighbors", "/v1/graph/upstreams", "/v1/graph/cone", "/v1/hijacks", "other"} {
-			s.budgets[e] = b
-		}
-		for _, e := range []string{"/v1/search", "/v1/diff", "/v1/graph/path"} {
-			s.budgets[e] = tight
-		}
-	}
-	// The /v1 data plane runs load-controlled (admission + deadlines);
-	// the operational plane does not — /healthz, /readyz and /metrics
-	// must answer precisely when the server is shedding.
-	s.mux.HandleFunc("GET /v1/asn/{asn}", s.handle("/v1/asn", true, s.viewHandler("/v1/asn", s.handleASN)))
-	s.mux.HandleFunc("GET /v1/country/{cc}", s.handle("/v1/country", true, s.viewHandler("/v1/country", s.handleCountry)))
-	s.mux.HandleFunc("GET /v1/org/{id}", s.handle("/v1/org", true, s.viewHandler("/v1/org", s.handleOrg)))
-	s.mux.HandleFunc("GET /v1/search", s.handle("/v1/search", true, s.viewHandler("/v1/search", s.handleSearch)))
-	s.mux.HandleFunc("GET /v1/dataset", s.handle("/v1/dataset", true, s.viewHandler("/v1/dataset", s.handleDataset)))
-	s.mux.HandleFunc("GET /v1/graph/neighbors/{asn}", s.handle("/v1/graph/neighbors", true, s.viewHandler("/v1/graph/neighbors", s.handleGraphNeighbors)))
-	s.mux.HandleFunc("GET /v1/graph/upstreams/{asn}", s.handle("/v1/graph/upstreams", true, s.viewHandler("/v1/graph/upstreams", s.handleGraphUpstreams)))
-	s.mux.HandleFunc("GET /v1/graph/cone/{asn}", s.handle("/v1/graph/cone", true, s.viewHandler("/v1/graph/cone", s.handleGraphCone)))
-	s.mux.HandleFunc("GET /v1/graph/path", s.handle("/v1/graph/path", true, s.viewHandler("/v1/graph/path", s.handleGraphPath)))
-	s.mux.HandleFunc("GET /v1/hijacks", s.handle("/v1/hijacks", true, s.viewHandler("/v1/hijacks", s.handleHijacks)))
-	s.mux.HandleFunc("GET /v1/diff", s.handle("/v1/diff", true, s.handleDiff))
-	s.mux.HandleFunc("GET /healthz", s.handle("/healthz", false, s.handleHealthz))
-	s.mux.HandleFunc("GET /readyz", s.handle("/readyz", false, s.handleReadyz))
-	s.mux.HandleFunc("GET /metrics", s.handle("/metrics", false, s.handleMetrics))
-	s.mux.HandleFunc("/", s.handle("other", true, func(*http.Request) response {
-		return errResponse(http.StatusNotFound, "unknown endpoint")
-	}))
+	s.Handle(DiffRoute, s.handleDiff)
+	s.Handle(ReadyzRoute, s.handleReadyz)
+	s.Handle(MetricsRoute, s.handleMetrics)
 	return s
 }
 
-// ServeHTTP dispatches to the route table.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
-
-// Metrics exposes the registry (snapshots drive /metrics and tests).
-func (s *Server) Metrics() *Metrics { return s.metrics }
-
 // CacheStats exposes the response-cache accounting.
 func (s *Server) CacheStats() CacheStats { return s.cache.Stats() }
-
-// AdmissionStats exposes the limiter accounting (zeroes when admission
-// control is off).
-func (s *Server) AdmissionStats() AdmissionStats { return s.limiter.Stats() }
 
 // InvalidateGeneration purges every cached response that was answered
 // from the given generation. The snapshot store calls this when a
 // generation leaves the retention ring: entries of still-retained
 // generations remain valid (responses are pure functions of
-// (generation, canonical request)), so only evicted generations need
+// (generation, typed request)), so only evicted generations need
 // purging — and a stale answer cannot survive a swap in any case,
 // because unpinned requests resolve their generation before the cache
 // is consulted.
@@ -286,220 +237,59 @@ func orDefault(d, def time.Duration) time.Duration {
 	return d
 }
 
-// response is a handler's materialized result, ready to write or cache.
-type response struct {
-	status      int
-	contentType string
-	body        []byte
-	// genHeader, when non-empty, emits the X-Generation header.
-	genHeader string
-	// retryAfterSec, when > 0, emits a Retry-After header (shed
-	// responses).
-	retryAfterSec int
-}
-
-// jsonResponse marshals v as an indented JSON response.
-func jsonResponse(status int, v any) response {
-	body, err := JSONBody(v)
-	if err != nil {
-		return errResponse(http.StatusInternalServerError, "encoding response")
+// resolve resolves the generation a request addresses: the live
+// generation for gen < 0, else the retained generation gen. On failure
+// the returned view is nil and the response distinguishes a generation
+// never built (404) from one evicted from the retention ring (410).
+func (s *Server) resolve(gen int) (*View, Response) {
+	if gen < 0 {
+		return s.src.Current(), Response{}
 	}
-	return response{status: status, contentType: "application/json", body: body}
-}
-
-// errResponse materializes the canonical ErrorBody envelope — the one
-// helper every /v1 error path (400/404/410/500/503/504) goes through.
-func errResponse(status int, msg string) response {
-	return jsonResponse(status, ErrorBody{Error: msg, Status: status})
-}
-
-// resolveView resolves the generation a request addresses: the live
-// generation by default, or the retained generation ?gen=N pins. On
-// failure the returned view is nil and the response distinguishes a
-// malformed number (400), a generation never built (404) and one
-// evicted from the retention ring (410).
-func (s *Server) resolveView(r *http.Request) (*View, response) {
-	raw, ok := r.URL.Query()["gen"]
-	if !ok {
-		return s.src.Current(), response{}
-	}
-	return s.lookupGen(raw[0], "gen")
-}
-
-// lookupGen parses and resolves one generation query parameter.
-func (s *Server) lookupGen(raw, param string) (*View, response) {
-	n, err := strconv.ParseInt(raw, 10, 32)
-	if err != nil || n < 0 {
-		return nil, errResponse(http.StatusBadRequest,
-			fmt.Sprintf("invalid ?%s=%q: want a non-negative generation number", param, raw))
-	}
-	v, st := s.src.Generation(int(n))
+	v, st := s.src.Generation(gen)
 	switch st {
 	case GenOK:
-		return v, response{}
+		return v, Response{}
 	case GenEvicted:
-		return nil, errResponse(http.StatusGone,
-			fmt.Sprintf("generation %d has been evicted from the retention ring", n))
+		return nil, ErrorResponse(http.StatusGone,
+			fmt.Sprintf("generation %d has been evicted from the retention ring", gen))
 	default:
-		return nil, errResponse(http.StatusNotFound, fmt.Sprintf("unknown generation %d", n))
+		return nil, ErrorResponse(http.StatusNotFound, fmt.Sprintf("unknown generation %d", gen))
 	}
 }
 
-// handle is the containment spine every route runs through: metrics
-// accounting around a dispatch that applies (for load-controlled
-// endpoints) admission control and the endpoint's deadline, and (for
-// every endpoint) per-request panic isolation. The spine is the only
-// code that touches the ResponseWriter, so an abandoned handler — one
-// that outlived its deadline — can never race the 504 on the wire.
-func (s *Server) handle(endpoint string, loadControlled bool, fn func(*http.Request) response) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := s.metrics.Begin()
-		resp := s.dispatch(endpoint, loadControlled, fn, r)
-		s.write(w, resp)
-		s.metrics.End(endpoint, resp.status, start)
-	}
-}
-
-// dispatch applies the overload policy to one request. The decision
-// ladder: (1) admission — no free slot and no queue room, or the queue
-// wait expires → 503 + Retry-After, the request never runs; (2)
-// deadline — the handler runs but overshoots its endpoint budget → its
-// context is canceled (partial-work cancellation) and the answer is
-// 504; (3) the handler's materialized response. An admitted slot is
-// held until the handler actually finishes — even past its deadline —
-// so abandoned-but-running work still counts against MaxInFlight and a
-// flood of timeouts cannot stack unbounded concurrency.
-func (s *Server) dispatch(endpoint string, loadControlled bool, fn func(*http.Request) response, r *http.Request) response {
-	release := func() {}
-	if loadControlled && s.limiter != nil {
-		rel, verdict := s.limiter.Acquire(r.Context().Done())
-		if verdict != Admitted {
-			s.metrics.Shed(endpoint)
-			resp := errResponse(http.StatusServiceUnavailable, "overloaded: admission queue full or wait expired; retry later")
-			resp.retryAfterSec = s.limiter.RetryAfterSeconds()
-			return resp
-		}
-		release = rel
-	}
-	budget := s.budgets[endpoint]
-	if budget <= 0 {
-		defer release()
-		return s.invoke(endpoint, fn, r)
-	}
-	ctx, cancel := context.WithCancel(r.Context())
-	defer cancel()
-	done := make(chan response, 1)
-	go func() {
-		defer release() // the slot is freed when the work truly ends
-		done <- s.invoke(endpoint, fn, r.WithContext(ctx))
-	}()
-	select {
-	case resp := <-done:
-		return resp
-	case <-s.after(budget):
-		cancel() // stop context-aware partial work
-		s.metrics.DeadlineExceeded(endpoint)
-		return errResponse(http.StatusGatewayTimeout,
-			fmt.Sprintf("request exceeded its %s budget", budget))
-	}
-}
-
-// invoke runs one handler behind the panic barrier: a panicking handler
-// becomes a 500 and a panics_total tick instead of a dead process. The
-// recover lives here — inside whatever goroutine runs the handler —
-// because a deferred recover in the caller cannot catch a panic on the
-// deadline path's worker goroutine.
-func (s *Server) invoke(endpoint string, fn func(*http.Request) response, r *http.Request) (resp response) {
-	defer func() {
-		if p := recover(); p != nil {
-			s.metrics.Panicked(endpoint)
-			resp = errResponse(http.StatusInternalServerError, "internal error (handler panic contained)")
-		}
-	}()
-	return fn(r)
-}
-
-// viewHandler wraps a /v1 handler with generation resolution and the
-// LRU response cache. Every /v1 response is a pure function of the
-// (generation, canonicalized request) pair — each generation's Index is
+// viewHandler wraps a /v1 handler with parsing, generation resolution
+// and the LRU response cache. Every /v1 response is a pure function of
+// the (generation, typed request) pair — each generation's Index is
 // immutable — so hits and misses alike are cacheable, including
-// deterministic errors like a 400 for a malformed ASN. The generation
-// lands in the cache key (a swap can therefore never replay a stale
-// generation's answer) and tags the entry so eviction can purge it.
-// Responses produced after the request's context was canceled (a
-// deadline 504, or partial work cut off mid-handler) are never cached:
-// they are functions of timing, not of the (generation, request) pair.
-func (s *Server) viewHandler(endpoint string, fn func(*View, *http.Request) response) func(*http.Request) response {
-	return func(r *http.Request) response {
-		view, errResp := s.resolveView(r)
+// deterministic errors like a 400 for a malformed ASN. The key is the
+// request's canonical encoding (a malformed request's raw target)
+// under its generation, so a swap can never replay a stale
+// generation's answer, and the generation tags the entry so eviction
+// can purge it. Responses produced after the request's context was
+// canceled (a deadline 504, or partial work cut off mid-handler) are
+// never cached: they are functions of timing, not of the request.
+func (s *Server) viewHandler(route *Route, fn func(*View, *Request) Response) func(*http.Request) Response {
+	return func(r *http.Request) Response {
+		q, errResp := route.Parse(r)
+		if q == nil {
+			return errResp
+		}
+		view, errResp := s.resolve(q.Gen)
 		if view == nil {
 			return errResp
 		}
 		gen := strconv.Itoa(view.Gen)
-		key := "g" + gen + "\x00" + endpoint + "\x00" + canonicalKey(r)
+		key := q.cacheKey(view.Gen)
 		if hit, ok := s.cache.Get(key); ok {
-			return response{status: hit.Status, contentType: hit.ContentType, body: hit.Body, genHeader: gen}
+			return Response{Status: hit.Status, Body: hit.Body, Gen: gen}
 		}
-		resp := fn(view, r)
+		resp := fn(view, q)
 		if r.Context().Err() == nil {
-			s.cache.Put(key, view.Gen, CachedResponse{Status: resp.status, ContentType: resp.contentType, Body: resp.body})
+			s.cache.Put(key, view.Gen, CachedResponse{Status: resp.Status, ContentType: "application/json", Body: resp.Body})
 		}
-		resp.genHeader = gen
+		resp.Gen = gen
 		return resp
 	}
-}
-
-// canonicalKey reduces a request to its canonical lookup form so that
-// equivalent requests share one cache entry: country codes upper-cased,
-// ASNs numerically normalized (leading zeros dropped), search names
-// name-normalized, the effective search limit spelled out. The
-// generation is not part of this form — the cache wrapper prefixes it.
-func canonicalKey(r *http.Request) string {
-	if cc := r.PathValue("cc"); cc != "" {
-		return "cc:" + CanonicalCC(cc)
-	}
-	if asn := r.PathValue("asn"); asn != "" {
-		key := "asn-raw:" + asn
-		if n, err := strconv.ParseUint(asn, 10, 32); err == nil {
-			key = "asn:" + strconv.FormatUint(n, 10)
-		}
-		// The neighbors endpoint's class filter is part of its canonical
-		// form (case-insensitive).
-		if strings.HasPrefix(r.URL.Path, "/v1/graph/neighbors/") {
-			key += "\x00class:" + strings.ToLower(r.URL.Query().Get("class"))
-		}
-		return key
-	}
-	if id := r.PathValue("id"); id != "" {
-		return "id:" + id
-	}
-	if r.URL.Path == "/v1/search" {
-		q := r.URL.Query()
-		return "name:" + nameutil.Normalize(q.Get("name")) + "\x00limit:" + q.Get("limit")
-	}
-	if r.URL.Path == "/v1/graph/path" {
-		q := r.URL.Query()
-		return "from:" + canonASNParam(q.Get("from")) + "\x00to:" + canonASNParam(q.Get("to"))
-	}
-	if r.URL.Path == "/v1/hijacks" {
-		q := r.URL.Query()
-		return "victim:" + canonASNParam(q.Get("victim")) +
-			"\x00cc:" + CanonicalCC(q.Get("cc")) +
-			"\x00xb:" + canonBoolParam(q.Get("cross_border"))
-	}
-	return r.URL.Path
-}
-
-func (s *Server) write(w http.ResponseWriter, resp response) {
-	w.Header().Set("Content-Type", resp.contentType)
-	if resp.genHeader != "" {
-		w.Header().Set(GenerationHeader, resp.genHeader)
-	}
-	if resp.retryAfterSec > 0 {
-		w.Header().Set("Retry-After", strconv.Itoa(resp.retryAfterSec))
-	}
-	w.WriteHeader(resp.status)
-	_, _ = w.Write(resp.body)
 }
 
 // --- /v1 handlers ----------------------------------------------------------
@@ -515,13 +305,11 @@ type ASNResponse struct {
 	Minority     []expand.MinorityRecord `json:"minority,omitempty"`
 }
 
-func (s *Server) handleASN(v *View, r *http.Request) response {
-	raw := r.PathValue("asn")
-	n, err := strconv.ParseUint(raw, 10, 32)
-	if err != nil || n == 0 {
-		return errResponse(http.StatusBadRequest, fmt.Sprintf("invalid ASN %q", raw))
+func (s *Server) handleASN(v *View, q *Request) Response {
+	if q.bad != nil {
+		return *q.bad
 	}
-	a := world.ASN(n)
+	a := q.ASN
 	org, minority, owned := v.Index.ASN(a)
 	body := ASNResponse{ASN: a, Status: "none", Minority: minority}
 	status := http.StatusNotFound
@@ -535,7 +323,7 @@ func (s *Server) handleASN(v *View, r *http.Request) response {
 		body.Status = "minority"
 		status = http.StatusOK
 	}
-	return jsonResponse(status, body)
+	return JSONResponse(status, body)
 }
 
 // OrgResponse is one organization with its ASNs. The membership list
@@ -547,13 +335,12 @@ type OrgResponse struct {
 	ASNs         ASNList           `json:"asn"`
 }
 
-func (s *Server) handleOrg(v *View, r *http.Request) response {
-	id := r.PathValue("id")
-	org, ok := v.Index.Org(id)
+func (s *Server) handleOrg(v *View, q *Request) Response {
+	org, ok := v.Index.Org(q.ID)
 	if !ok {
-		return errResponse(http.StatusNotFound, fmt.Sprintf("unknown organization %q", id))
+		return ErrorResponse(http.StatusNotFound, fmt.Sprintf("unknown organization %q", q.ID))
 	}
-	return jsonResponse(http.StatusOK, OrgResponse{Organization: org.Record, ASNs: ASNList(org.ASNs)})
+	return JSONResponse(http.StatusOK, OrgResponse{Organization: org.Record, ASNs: ASNList(org.ASNs)})
 }
 
 // CountryResponse lists a country's state-owned operators, including
@@ -564,17 +351,16 @@ type CountryResponse struct {
 	Minority      []expand.MinorityRecord `json:"minority,omitempty"`
 }
 
-func (s *Server) handleCountry(v *View, r *http.Request) response {
-	cc := CanonicalCC(r.PathValue("cc"))
-	if len(cc) != 2 || cc[0] < 'A' || cc[0] > 'Z' || cc[1] < 'A' || cc[1] > 'Z' {
-		return errResponse(http.StatusBadRequest, fmt.Sprintf("invalid country code %q", r.PathValue("cc")))
+func (s *Server) handleCountry(v *View, q *Request) Response {
+	if q.bad != nil {
+		return *q.bad
 	}
-	orgs, minority := v.Index.Country(cc)
-	body := CountryResponse{CC: cc, Organizations: []OrgResponse{}, Minority: minority}
+	orgs, minority := v.Index.Country(q.CC)
+	body := CountryResponse{CC: q.CC, Organizations: []OrgResponse{}, Minority: minority}
 	for _, o := range orgs {
 		body.Organizations = append(body.Organizations, OrgResponse{Organization: o.Record, ASNs: ASNList(o.ASNs)})
 	}
-	return jsonResponse(http.StatusOK, body)
+	return JSONResponse(http.StatusOK, body)
 }
 
 // SearchResponse is the fuzzy-name search result list. Query echoes the
@@ -597,30 +383,18 @@ type SearchHitRecord struct {
 	ASNs         []world.ASN       `json:"asn"`
 }
 
-func (s *Server) handleSearch(v *View, r *http.Request) response {
-	q := r.URL.Query()
-	name := q.Get("name")
-	if nameutil.Normalize(name) == "" {
-		return errResponse(http.StatusBadRequest, "missing or empty ?name= query")
+func (s *Server) handleSearch(v *View, q *Request) Response {
+	if q.bad != nil {
+		return *q.bad
 	}
-	limit := s.limit
-	if rawLimit := q.Get("limit"); rawLimit != "" {
-		n, err := strconv.Atoi(rawLimit)
-		if err != nil || n <= 0 {
-			return errResponse(http.StatusBadRequest, fmt.Sprintf("invalid ?limit=%s", rawLimit))
-		}
-		if n < limit {
-			limit = n
-		}
-	}
-	hits, fallback := v.Index.SearchPartition(name, limit)
-	body := SearchResponse{Query: nameutil.Normalize(name), Hits: []SearchHitRecord{}, Fallback: fallback}
+	hits, fallback := v.Index.SearchPartition(q.Name, q.SearchLimit(s.limit))
+	body := SearchResponse{Query: q.Name, Hits: []SearchHitRecord{}, Fallback: fallback}
 	for _, h := range hits {
 		body.Hits = append(body.Hits, SearchHitRecord{
 			Score: h.Score, Organization: h.Org.Record, ASNs: h.Org.ASNs,
 		})
 	}
-	return jsonResponse(http.StatusOK, body)
+	return JSONResponse(http.StatusOK, body)
 }
 
 // DatasetResponse wraps the Listing-1 export with the generation it
@@ -631,12 +405,12 @@ type DatasetResponse struct {
 	Dataset    json.RawMessage `json:"dataset"`
 }
 
-func (s *Server) handleDataset(v *View, _ *http.Request) response {
+func (s *Server) handleDataset(v *View, _ *Request) Response {
 	var buf bytes.Buffer
 	if err := v.Index.Dataset().Export(&buf); err != nil {
-		return errResponse(http.StatusInternalServerError, "exporting dataset")
+		return ErrorResponse(http.StatusInternalServerError, "exporting dataset")
 	}
-	return jsonResponse(http.StatusOK, DatasetResponse{
+	return JSONResponse(http.StatusOK, DatasetResponse{
 		Generation: v.Gen, Provenance: v.Provenance, Dataset: buf.Bytes(),
 	})
 }
@@ -651,38 +425,35 @@ type DiffResponse struct {
 	Audit churn.Audit `json:"audit"`
 }
 
-func (s *Server) handleDiff(r *http.Request) response {
-	q := r.URL.Query()
-	rawFrom, okFrom := q["from"]
-	rawTo, okTo := q["to"]
-	if !okFrom || !okTo {
-		return errResponse(http.StatusBadRequest, "need both ?from= and ?to= generation numbers")
+func (s *Server) handleDiff(r *http.Request) Response {
+	q, _ := DiffRoute.Parse(r) // /v1/diff pins no generation: never nil
+	if q.FromGen < 0 {
+		return *q.bad
 	}
-	from, errResp := s.lookupGen(rawFrom[0], "from")
+	from, errResp := s.resolve(q.FromGen)
 	if from == nil {
 		return errResp
 	}
-	to, errResp := s.lookupGen(rawTo[0], "to")
+	if q.ToGen < 0 {
+		return *q.bad
+	}
+	to, errResp := s.resolve(q.ToGen)
 	if to == nil {
 		return errResp
 	}
 	// The audit is the expensive part; if the deadline middleware already
 	// canceled this request, skip it — the answer would be discarded.
 	if r.Context().Err() != nil {
-		return errResponse(http.StatusGatewayTimeout, "request canceled before the audit ran")
+		return ErrorResponse(http.StatusGatewayTimeout, "request canceled before the audit ran")
 	}
 	audit, ok := s.src.Diff(from, to)
 	if !ok {
-		return errResponse(http.StatusNotFound, "diff unavailable: this server's source keeps no ground truth")
+		return ErrorResponse(http.StatusNotFound, "diff unavailable: this server's source keeps no ground truth")
 	}
-	return jsonResponse(http.StatusOK, DiffResponse{From: from.Gen, To: to.Gen, Audit: *audit})
+	return JSONResponse(http.StatusOK, DiffResponse{From: from.Gen, To: to.Gen, Audit: *audit})
 }
 
 // --- health and metrics ----------------------------------------------------
-
-func (s *Server) handleHealthz(*http.Request) response {
-	return jsonResponse(http.StatusOK, map[string]string{"status": "ok"})
-}
 
 // SourceStatus is one pipeline source's row of the readiness report.
 type SourceStatus struct {
@@ -715,10 +486,10 @@ type ReadyResponse struct {
 	Generation int  `json:"generation"`
 	Reloading  bool `json:"reloading"`
 	// Degraded state of the reload gate (see ReloadStatus).
-	Degraded       bool           `json:"degraded"`
-	DegradedReason string         `json:"degraded_reason,omitempty"`
-	ReloadFailures int            `json:"reload_failures,omitempty"`
-	ReloadGaveUp   bool           `json:"reload_gave_up,omitempty"`
+	Degraded       bool   `json:"degraded"`
+	DegradedReason string `json:"degraded_reason,omitempty"`
+	ReloadFailures int    `json:"reload_failures,omitempty"`
+	ReloadGaveUp   bool   `json:"reload_gave_up,omitempty"`
 	// Incremental-rebuild reuse counters (cumulative over the store's
 	// lifetime), present only when the source rebuilds incrementally.
 	Incremental  bool   `json:"incremental,omitempty"`
@@ -738,13 +509,13 @@ type ReadyResponse struct {
 	ArchiveWriteFailures uint64         `json:"archive_write_failures,omitempty"`
 	ArchiveLastError     string         `json:"archive_last_error,omitempty"`
 	ChaosSeverity        float64        `json:"chaos_severity"`
-	Sources        []SourceStatus `json:"sources,omitempty"`
-	DegradedSrc    []string       `json:"degraded_sources,omitempty"`
-	Unavailable    []string       `json:"unavailable_sources,omitempty"`
-	DegradedStages []StageStatus  `json:"degraded_stages,omitempty"`
+	Sources              []SourceStatus `json:"sources,omitempty"`
+	DegradedSrc          []string       `json:"degraded_sources,omitempty"`
+	Unavailable          []string       `json:"unavailable_sources,omitempty"`
+	DegradedStages       []StageStatus  `json:"degraded_stages,omitempty"`
 }
 
-func (s *Server) handleReadyz(*http.Request) response {
+func (s *Server) handleReadyz(*http.Request) Response {
 	v := s.src.Current()
 	rs := s.src.ReloadStatus()
 	body := ReadyResponse{
@@ -764,7 +535,7 @@ func (s *Server) handleReadyz(*http.Request) response {
 	}
 	if v.Health == nil {
 		body.Ready = true
-		return jsonResponse(http.StatusOK, body)
+		return JSONResponse(http.StatusOK, body)
 	}
 	h := v.Health
 	body.ChaosSeverity = h.Severity
@@ -785,10 +556,10 @@ func (s *Server) handleReadyz(*http.Request) response {
 	if !body.Ready {
 		status = http.StatusServiceUnavailable
 	}
-	return jsonResponse(status, body)
+	return JSONResponse(status, body)
 }
 
-func (s *Server) handleMetrics(*http.Request) response {
+func (s *Server) handleMetrics(*http.Request) Response {
 	v := s.src.Current()
 	rs := s.src.ReloadStatus()
 	snap := s.metrics.Snapshot()
@@ -826,5 +597,5 @@ func (s *Server) handleMetrics(*http.Request) response {
 			})
 		}
 	}
-	return jsonResponse(http.StatusOK, snap)
+	return JSONResponse(http.StatusOK, snap)
 }

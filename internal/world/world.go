@@ -256,16 +256,6 @@ func (w *World) OperatorsIn(country string) []*Operator {
 	return out
 }
 
-// ASesOf returns the AS records of an operator in ASN order.
-func (w *World) ASesOf(op *Operator) []*AS {
-	out := make([]*AS, 0, len(op.ASNs))
-	for _, n := range op.ASNs {
-		out = append(out, w.ASes[n])
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Number < out[j].Number })
-	return out
-}
-
 // TotalAnnounced returns the total announced address space across all ASes.
 func (w *World) TotalAnnounced() uint64 {
 	var n uint64
